@@ -15,29 +15,31 @@ void Batch::GatherTuple(int64_t tuple, TupleValues* out) const {
 
 namespace {
 
-Result<AttrValue> ValueFromJson(const Schema& schema, int attr,
-                                const JsonValue& v, int64_t row) {
-  const AttrInfo& info = schema.attr(attr);
-  AttrValue out;
+Status ValueError(const AttrInfo& info, int64_t row, const char* what) {
+  return Status::InvalidArgument(StringPrintf(
+      "tuple %lld, attribute '%s': %s", static_cast<long long>(row),
+      info.name.c_str(), what));
+}
+
+/// Decodes one wire value of attribute `info` into `out`.
+Status ValueFromJson(const AttrInfo& info, const JsonValue& v, int64_t row,
+                     AttrValue* out) {
   if (!info.is_categorical()) {
-    if (v.is_null()) {
-      out.f = kMissingValue;
-      return out;
+    if (v.is_number()) {
+      out->f = static_cast<float>(v.number_value());
+    } else if (v.is_null()) {
+      out->f = kMissingValue;
+    } else {
+      return ValueError(info, row, "expected a number");
     }
-    if (!v.is_number()) {
-      return Status::InvalidArgument(StringPrintf(
-          "tuple %lld, attribute '%s': expected a number",
-          static_cast<long long>(row), info.name.c_str()));
-    }
-    out.f = static_cast<float>(v.number_value());
-    return out;
+    return Status::OK();
   }
   if (v.is_string()) {
     for (int code = 0; code < static_cast<int>(info.value_names.size());
          ++code) {
       if (info.value_names[code] == v.string_value()) {
-        out.cat = code;
-        return out;
+        out->cat = code;
+        return Status::OK();
       }
     }
     return Status::InvalidArgument(StringPrintf(
@@ -46,19 +48,17 @@ Result<AttrValue> ValueFromJson(const Schema& schema, int attr,
         v.string_value().c_str()));
   }
   if (v.is_number()) {
+    // Range-check the double before converting it: casting a value outside
+    // int's range (1e300, 2147483648) to int is undefined behaviour.
     const double d = v.number_value();
-    const int code = static_cast<int>(d);
-    if (d != std::floor(d) || code < 0 || code >= info.cardinality) {
-      return Status::InvalidArgument(StringPrintf(
-          "tuple %lld, attribute '%s': categorical code out of range",
-          static_cast<long long>(row), info.name.c_str()));
+    if (!(d >= 0.0 && d < static_cast<double>(info.cardinality)) ||
+        d != std::floor(d)) {
+      return ValueError(info, row, "categorical code out of range");
     }
-    out.cat = code;
-    return out;
+    out->cat = static_cast<int32_t>(d);
+    return Status::OK();
   }
-  return Status::InvalidArgument(StringPrintf(
-      "tuple %lld, attribute '%s': expected a code or value name",
-      static_cast<long long>(row), info.name.c_str()));
+  return ValueError(info, row, "expected a code or value name");
 }
 
 }  // namespace
@@ -69,31 +69,30 @@ Result<Batch> Batch::FromJson(const Schema& schema, const JsonValue& doc) {
     return Status::InvalidArgument(
         "request must be an object with a \"tuples\" array");
   }
-  if (tuples->array_items().empty()) {
+  const std::vector<JsonValue>& rows = tuples->array_items();
+  if (rows.empty()) {
     return Status::InvalidArgument("\"tuples\" is empty");
   }
   Batch batch;
   const int num_attrs = schema.num_attrs();
-  batch.columns_.resize(static_cast<size_t>(num_attrs));
-  for (auto& col : batch.columns_) {
-    col.reserve(tuples->array_items().size());
-  }
-  int64_t row = 0;
-  for (const JsonValue& t : tuples->array_items()) {
-    if (!t.is_array() ||
-        static_cast<int>(t.array_items().size()) != num_attrs) {
+  batch.columns_.assign(static_cast<size_t>(num_attrs),
+                        std::vector<AttrValue>(rows.size()));
+  for (size_t row = 0; row < rows.size(); ++row) {
+    const std::vector<JsonValue>& values = rows[row].array_items();
+    if (!rows[row].is_array() ||
+        values.size() != static_cast<size_t>(num_attrs)) {
       return Status::InvalidArgument(StringPrintf(
           "tuple %lld: expected an array of %d values",
           static_cast<long long>(row), num_attrs));
     }
     for (int a = 0; a < num_attrs; ++a) {
-      SMPTREE_ASSIGN_OR_RETURN(
-          AttrValue v, ValueFromJson(schema, a, t.array_items()[a], row));
-      batch.columns_[static_cast<size_t>(a)].push_back(v);
+      const size_t col = static_cast<size_t>(a);
+      SMPTREE_RETURN_IF_ERROR(ValueFromJson(schema.attr(a), values[col],
+                                            static_cast<int64_t>(row),
+                                            &batch.columns_[col][row]));
     }
-    ++row;
   }
-  batch.num_tuples_ = row;
+  batch.num_tuples_ = static_cast<int64_t>(rows.size());
   return batch;
 }
 

@@ -109,6 +109,8 @@ FrontEndStats EpollServer::Stats() const {
       backpressure_stalls_.load(std::memory_order_relaxed);
   stats.idle_timeouts = idle_timeouts_.load(std::memory_order_relaxed);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+  stats.deadline_entries =
+      deadline_entries_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -407,11 +409,17 @@ void EpollServer::ExpireDeadlines(int64_t now_ms) {
     std::pop_heap(deadlines_.begin(), deadlines_.end(),
                   std::greater<Deadline>());
     deadlines_.pop_back();
+    deadline_entries_.store(deadlines_.size(), std::memory_order_relaxed);
     auto it = connections_.find(expired.conn_id);
     if (it == connections_.end()) continue;         // already closed
     Connection* conn = it->second.get();
-    if (conn->deadline_ms == 0 || conn->deadline_ms != expired.at_ms) {
-      continue;  // stale heap entry: the connection progressed since
+    if (conn->queued_ms != expired.at_ms) continue;  // superseded entry
+    conn->queued_ms = 0;
+    if (conn->deadline_ms == 0) continue;  // dispatching: no deadline now
+    if (conn->deadline_ms > now_ms) {
+      // The connection progressed since this entry was queued.
+      SetDeadline(conn, conn->deadline_ms);
+      continue;
     }
     idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
     CloseConnection(conn);
@@ -420,10 +428,16 @@ void EpollServer::ExpireDeadlines(int64_t now_ms) {
 
 void EpollServer::SetDeadline(Connection* conn, int64_t at_ms) {
   conn->deadline_ms = at_ms;
-  if (at_ms == 0) return;  // lazily invalidates any queued heap entries
+  // 0 lazily invalidates the queued entry; a later deadline waits for the
+  // queued entry to come due (ExpireDeadlines re-queues it then).
+  if (at_ms == 0 || (conn->queued_ms != 0 && conn->queued_ms <= at_ms)) {
+    return;
+  }
+  conn->queued_ms = at_ms;
   deadlines_.push_back({at_ms, conn->id});
   std::push_heap(deadlines_.begin(), deadlines_.end(),
                  std::greater<Deadline>());
+  deadline_entries_.store(deadlines_.size(), std::memory_order_relaxed);
 }
 
 void EpollServer::UpdateInterest(Connection* conn, bool want_read,

@@ -25,9 +25,13 @@
 //     that arrived back-to-back in one segment are served without another
 //     recv), otherwise EPOLLIN is re-armed with a fresh idle deadline.
 //
-// Idle timeouts use a lazy min-heap of (deadline, connection id): expired
-// entries whose connection has since progressed or closed are skipped, so
-// rearming is O(log n) with no cancellation bookkeeping.
+// Idle timeouts use a lazy min-heap of (deadline, connection id) holding
+// at most one live entry per connection: re-arming to a later deadline
+// pushes nothing, and when the queued entry comes due it is re-queued at
+// the connection's current deadline (or reaps it, if that has passed).
+// Entries of closed connections are skipped, so there is no cancellation
+// bookkeeping, and the heap no longer grows with every request served on a
+// keep-alive connection.
 //
 // Stop() semantics match the threaded front end: the listener closes,
 // idle keep-alive connections are dropped, and requests already dispatched
@@ -91,6 +95,7 @@ class EpollServer {
     bool want_write = false;   ///< EPOLLOUT currently armed
     bool want_read = false;    ///< EPOLLIN currently armed
     int64_t deadline_ms = 0;   ///< absolute steady-clock ms; 0 = no deadline
+    int64_t queued_ms = 0;     ///< at_ms of its live heap entry; 0 = none
   };
 
   struct DispatchJob {
@@ -171,6 +176,7 @@ class EpollServer {
   std::atomic<uint64_t> backpressure_stalls_{0};
   std::atomic<uint64_t> idle_timeouts_{0};
   std::atomic<uint64_t> protocol_errors_{0};
+  std::atomic<uint64_t> deadline_entries_{0};  ///< mirrors deadlines_.size()
 };
 
 }  // namespace smptree

@@ -52,6 +52,9 @@ struct FrontEndStats {
   uint64_t backpressure_stalls = 0;  ///< writes that had to arm EPOLLOUT
   uint64_t idle_timeouts = 0;        ///< connections reaped by deadline
   uint64_t protocol_errors = 0;      ///< 4xx answered by the parser itself
+  /// Epoll idle-deadline heap entries pending: at most one live entry per
+  /// open connection plus not-yet-due entries of closed ones.
+  uint64_t deadline_entries = 0;
 };
 
 class HttpServer {

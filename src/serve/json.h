@@ -8,7 +8,6 @@
 #define SMPTREE_SERVE_JSON_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,15 +15,39 @@
 
 namespace smptree {
 
-/// One parsed JSON value. Containers own their children by value; the
-/// whole tree is immutable after parsing.
+/// One parsed JSON value. Null, booleans and numbers are stored inline;
+/// a string, array or object lives behind one owned pointer, so a value is
+/// 16 bytes and a 256x32 predict request's numbers cost no allocation.
+/// Containers own their children; copies are deep. The whole tree is
+/// immutable after parsing.
 class JsonValue {
  public:
   enum class Type : unsigned char { kNull, kBool, kNumber, kString, kArray, kObject };
 
-  JsonValue() : type_(Type::kNull) {}
-  static JsonValue MakeBool(bool b);
-  static JsonValue MakeNumber(double d);
+  JsonValue() = default;
+  JsonValue(const JsonValue& other);
+  JsonValue(JsonValue&& other) noexcept
+      : type_(other.type_), payload_(other.payload_) {
+    other.type_ = Type::kNull;
+  }
+  JsonValue& operator=(const JsonValue& other);
+  JsonValue& operator=(JsonValue&& other) noexcept;
+  ~JsonValue() {
+    if (type_ >= Type::kString) DeletePayload();
+  }
+
+  static JsonValue MakeBool(bool b) {
+    JsonValue v;
+    v.type_ = Type::kBool;
+    v.payload_.boolean = b;
+    return v;
+  }
+  static JsonValue MakeNumber(double d) {
+    JsonValue v;
+    v.type_ = Type::kNumber;
+    v.payload_.number = d;
+    return v;
+  }
   static JsonValue MakeString(std::string s);
   static JsonValue MakeArray(std::vector<JsonValue> items);
   static JsonValue MakeObject(std::map<std::string, JsonValue> members);
@@ -37,24 +60,38 @@ class JsonValue {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_object() const { return type_ == Type::kObject; }
 
-  bool bool_value() const { return bool_; }
-  double number_value() const { return number_; }
-  const std::string& string_value() const { return string_; }
-  const std::vector<JsonValue>& array_items() const { return array_; }
+  /// Each accessor returns false / 0 / empty when the value has another type.
+  bool bool_value() const { return is_bool() && payload_.boolean; }
+  double number_value() const { return is_number() ? payload_.number : 0.0; }
+  const std::string& string_value() const {
+    return is_string() ? *payload_.string : EmptyString();
+  }
+  const std::vector<JsonValue>& array_items() const {
+    return is_array() ? *payload_.array : EmptyArray();
+  }
   const std::map<std::string, JsonValue>& object_members() const {
-    return object_;
+    return is_object() ? *payload_.object : EmptyObject();
   }
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const;
 
  private:
-  Type type_;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> array_;
-  std::map<std::string, JsonValue> object_;
+  union Payload {
+    bool boolean;
+    double number;
+    std::string* string;
+    std::vector<JsonValue>* array;
+    std::map<std::string, JsonValue>* object;
+  };
+
+  static const std::string& EmptyString();
+  static const std::vector<JsonValue>& EmptyArray();
+  static const std::map<std::string, JsonValue>& EmptyObject();
+  void DeletePayload();
+
+  Type type_ = Type::kNull;
+  Payload payload_{};
 };
 
 /// Parses one JSON document; trailing non-whitespace is an error. Nesting
@@ -65,9 +102,16 @@ Result<JsonValue> ParseJson(const std::string& text);
 /// Renders `raw` as a JSON string literal, quotes included.
 std::string JsonQuote(const std::string& raw);
 
-/// Renders a double the way the responses need it: integral values without
-/// a fraction, NaN/Inf as null (JSON has no literal for them).
+/// Renders a double the way the responses need it: integral values below
+/// 1e15 in magnitude without a fraction (as "%lld"), others as "%.17g",
+/// NaN/Inf as null (JSON has no literal for them).
 std::string JsonNumber(double value);
+
+/// Appending forms of JsonQuote / JsonNumber plus a "%lld" integer, for
+/// building a response body in one string.
+void AppendJsonQuoted(const std::string& raw, std::string* out);
+void AppendJsonNumber(double value, std::string* out);
+void AppendJsonInteger(long long value, std::string* out);
 
 }  // namespace smptree
 

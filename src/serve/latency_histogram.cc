@@ -40,16 +40,6 @@ uint64_t LatencyHistogram::QuantileNanos(double q) const {
   return ~0ull;
 }
 
-std::string LatencyHistogram::Summary() const {
-  return StringPrintf(
-      "n=%llu mean=%s p50=%s p90=%s p99=%s",
-      static_cast<unsigned long long>(count()),
-      FormatNanos(static_cast<uint64_t>(mean_nanos())).c_str(),
-      FormatNanos(QuantileNanos(0.5)).c_str(),
-      FormatNanos(QuantileNanos(0.9)).c_str(),
-      FormatNanos(QuantileNanos(0.99)).c_str());
-}
-
 std::string LatencyHistogram::ToAscii() const {
   uint64_t max_bucket = 0;
   int first = kBuckets, last = -1;

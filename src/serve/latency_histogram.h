@@ -63,9 +63,6 @@ class LatencyHistogram {
   /// estimated as the upper edge of the bucket containing that rank.
   uint64_t QuantileNanos(double q) const;
 
-  /// "p50=1.2ms p90=... p99=... max=..." -- human summary for logs/CLI.
-  std::string Summary() const;
-
   /// Fixed-width console rendering of the non-empty buckets (loadgen
   /// output): one line per bucket with a proportional bar.
   std::string ToAscii() const;

@@ -1,6 +1,9 @@
 #include "serve/service.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "serve/batch.h"
 #include "serve/json.h"
@@ -64,45 +67,53 @@ HttpResponse InferenceService::HandlePredict(const HttpRequest& request) {
                      outcome.status());
   }
 
+  // One pass into one reserved string, each class name quoted once per
+  // response. The bytes must stay those of "%d" / "%lld" / "%.17g"
+  // (PredictWireTest pins them).
   const Schema& schema = store_->schema();
-  std::string codes, labels;
-  codes.reserve(outcome->labels.size() * 3);
-  for (size_t i = 0; i < outcome->labels.size(); ++i) {
-    if (i > 0) {
-      codes += ",";
-      labels += ",";
-    }
-    codes += StringPrintf("%d", static_cast<int>(outcome->labels[i]));
-    labels += JsonQuote(schema.class_name(outcome->labels[i]));
+  std::vector<std::string> quoted(
+      static_cast<size_t>(schema.num_classes()));
+  size_t longest = 0;
+  for (int c = 0; c < schema.num_classes(); ++c) {
+    std::string& q = quoted[static_cast<size_t>(c)];
+    AppendJsonQuoted(schema.class_name(c), &q);
+    longest = std::max(longest, q.size());
   }
+  const std::vector<ClassLabel>& labels = outcome->labels;
   // Forest models add per-tuple class-probability rows (vote shares).
-  std::string probs;
-  if (outcome->num_classes > 0 && !outcome->probs.empty()) {
-    const int k = outcome->num_classes;
-    for (size_t i = 0; i < outcome->labels.size(); ++i) {
-      probs += i > 0 ? ",[" : "[";
-      for (int c = 0; c < k; ++c) {
-        if (c > 0) probs += ",";
-        probs += JsonNumber(
-            outcome->probs[i * static_cast<size_t>(k) +
-                           static_cast<size_t>(c)]);
-      }
-      probs += "]";
-    }
-  }
+  const size_t k =
+      outcome->num_classes > 0 && !outcome->probs.empty() && !labels.empty()
+          ? static_cast<size_t>(outcome->num_classes)
+          : 0;
   HttpResponse response;
-  if (probs.empty()) {
-    response.body = StringPrintf(
-        "{\"epoch\": %lld, \"codes\": [%s], \"labels\": [%s]}\n",
-        static_cast<long long>(outcome->model_epoch), codes.c_str(),
-        labels.c_str());
-  } else {
-    response.body = StringPrintf(
-        "{\"epoch\": %lld, \"codes\": [%s], \"labels\": [%s], "
-        "\"probs\": [%s]}\n",
-        static_cast<long long>(outcome->model_epoch), codes.c_str(),
-        labels.c_str(), probs.c_str());
+  std::string& body = response.body;
+  body.reserve(64 + labels.size() * (longest + 8 + k * 21));
+  body += "{\"epoch\": ";
+  AppendJsonInteger(outcome->model_epoch, &body);
+  body += ", \"codes\": [";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) body += ',';
+    AppendJsonInteger(labels[i], &body);
   }
+  body += "], \"labels\": [";
+  for (size_t i = 0; i < labels.size(); ++i) {
+    if (i > 0) body += ',';
+    body += quoted[labels[i]];
+  }
+  body += ']';
+  if (k > 0) {
+    body += ", \"probs\": [";
+    for (size_t i = 0; i < labels.size(); ++i) {
+      body += i > 0 ? ",[" : "[";
+      for (size_t c = 0; c < k; ++c) {
+        if (c > 0) body += ',';
+        AppendJsonNumber(outcome->probs[i * k + c], &body);
+      }
+      body += ']';
+    }
+    body += ']';
+  }
+  body += "}\n";
   return response;
 }
 

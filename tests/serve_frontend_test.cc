@@ -421,6 +421,46 @@ TEST(EpollScalingTest, ServesManyMoreConnectionsThanDispatchThreads) {
   server->Stop();
 }
 
+TEST(EpollDeadlineTest, KeepAliveTrafficHoldsOneDeadlineEntry) {
+  // Every request re-arms the connection's idle deadline. The deadline
+  // heap holds one entry for the connection however many requests it
+  // serves; the connection outlives its first deadline while it stays
+  // busy, and is reaped about one timeout after it goes quiet.
+  HttpServer::Options options;
+  options.front_end = HttpServer::FrontEnd::kEpoll;
+  options.num_threads = 2;
+  options.io_timeout_seconds = 1;
+  auto server = StartServer(options);
+  RawClient client(server->port());
+  ASSERT_TRUE(client.ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  int requests = 0;
+  while (std::chrono::steady_clock::now() - start <
+         std::chrono::milliseconds(1500)) {
+    ASSERT_TRUE(client.Send("GET /ping HTTP/1.1\r\n\r\n"));
+    ASSERT_EQ(StatusOf(client.ReadResponse()), 200);
+    ++requests;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  FrontEndStats stats = server->Stats();
+  EXPECT_GE(requests, 100);
+  EXPECT_LE(stats.deadline_entries, 1u);
+  EXPECT_EQ(stats.idle_timeouts, 0u);
+  EXPECT_EQ(stats.open_connections, 1u);
+
+  const auto quiet = std::chrono::steady_clock::now();
+  while (server->Stats().idle_timeouts == 0 &&
+         std::chrono::steady_clock::now() - quiet < std::chrono::seconds(5)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  stats = server->Stats();
+  ASSERT_EQ(stats.idle_timeouts, 1u);  // else the read below would block
+  EXPECT_EQ(stats.open_connections, 0u);
+  EXPECT_EQ(client.ReadUntilEof(), "");
+  server->Stop();
+}
+
 TEST(FrontEndParityTest, ByteIdenticalResponsesAcrossFrontEnds) {
   // Same wire input, byte-identical wire output: the threaded front end
   // is the oracle for the event loop. Every request either negotiates

@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/tree_io.h"
+#include "ensemble/forest.h"
 #include "serve/http_client.h"
 #include "serve/json.h"
 #include "serve/model_store.h"
@@ -133,6 +136,15 @@ TEST_P(ServeHttpTest, PredictRejectsBadRequests) {
       400);
   EXPECT_EQ(Call("POST", "/v1/predict", R"({"tuples": [[20, 7]]})").status,
             400);
+  // Codes outside int's range are rejected, not converted (UBSan aborts on
+  // the float-to-int overflow a convert-then-check would do).
+  for (const char* code : {"1e300", "-1e300", "2147483648"}) {
+    EXPECT_EQ(Call("POST", "/v1/predict",
+                   std::string(R"({"tuples": [[20, )") + code + "]]}")
+                  .status,
+              400)
+        << code;
+  }
 }
 
 TEST_P(ServeHttpTest, RoutingErrors) {
@@ -151,7 +163,10 @@ TEST_P(ServeHttpTest, HealthzReportsEpoch) {
 }
 
 TEST_P(ServeHttpTest, ReloadSwapsModelAndBumpsEpoch) {
-  const std::string path = testing::TempDir() + "/http_reload.tree";
+  // One file per front end: ctest runs both instances in parallel.
+  const std::string path =
+      testing::TempDir() + "/http_reload_" +
+      std::to_string(static_cast<int>(GetParam())) + ".tree";
   {
     std::ofstream out(path);
     out << SerializeTree(LeafTree(0));  // everything classifies "high"
@@ -246,6 +261,111 @@ TEST(ServeHttpReloadDisabledTest, ReloadAnswers403) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->status, 403);
   service.Stop();
+}
+
+// Wire parity: /v1/predict bodies are pinned byte for byte. The goldens
+// are the bodies the printf-based encoder produced; the forest's 10-member
+// vote shares (k/10) print differently at precision 17 than in shortest
+// form, and one class name needs escaping.
+
+Schema ThreeClassSchema() {
+  Schema s;
+  s.AddContinuous("age");
+  s.AddCategorical("car", 3, {"sedan", "sports", "truck"});
+  s.SetClassNames({"high", "low", "mid \"x\\y\""});
+  return s;
+}
+
+/// Class counts (of 3) whose majority is `label`.
+std::array<int64_t, 3> Majority3(ClassLabel label) {
+  std::array<int64_t, 3> counts = {1, 1, 1};
+  counts[label] = 10;
+  return counts;
+}
+
+ClassHistogram Hist3(const std::vector<std::array<int64_t, 3>>& parts) {
+  ClassHistogram h(3);
+  for (const auto& counts : parts) {
+    for (int c = 0; c < 3; ++c) h.Add(c, counts[static_cast<size_t>(c)]);
+  }
+  return h;
+}
+
+/// age < threshold ? left : (car in {sports} ? 2 : right)
+DecisionTree ThreeClassTree(float threshold, ClassLabel left,
+                            ClassLabel right) {
+  const auto l = Majority3(left), m = Majority3(2), r = Majority3(right);
+  DecisionTree tree(ThreeClassSchema());
+  const NodeId root = tree.CreateRoot(Hist3({l, m, r}));
+  SplitTest age_test;
+  age_test.attr = 0;
+  age_test.threshold = threshold;
+  tree.SetSplit(root, age_test);
+  tree.AddChild(root, true, Hist3({l}));
+  const NodeId rest = tree.AddChild(root, false, Hist3({m, r}));
+  SplitTest car_test;
+  car_test.attr = 1;
+  car_test.categorical = true;
+  car_test.subset = 0b010;
+  tree.SetSplit(rest, car_test);
+  tree.AddChild(rest, true, Hist3({m}));
+  tree.AddChild(rest, false, Hist3({r}));
+  return tree;
+}
+
+std::string PredictBodyFrom(std::unique_ptr<ModelStore> store,
+                            const std::string& request) {
+  ServiceOptions options;
+  options.engine.num_workers = 1;
+  options.http.port = 0;
+  InferenceService service(std::move(store), options);
+  EXPECT_TRUE(service.Start().ok());
+  HttpClientConnection client("127.0.0.1", service.port());
+  auto response = client.Call("POST", "/v1/predict", request);
+  service.Stop();
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  if (!response.ok()) return "";
+  EXPECT_EQ(response->status, 200) << response->body;
+  return response->body;
+}
+
+TEST(PredictWireTest, TreeBodyIsPinned) {
+  auto store = ModelStore::Create(CarTree());
+  ASSERT_TRUE(store.ok());
+  EXPECT_EQ(
+      PredictBodyFrom(std::move(*store),
+                      R"({"tuples": [[20, "sedan"], [40, "sports"], [40, 0],)"
+                      R"( [null, "truck"], [27.5, 2]]})"),
+      R"({"epoch": 1, "codes": [0,0,1,0,1], )"
+      R"("labels": ["high","high","low","high","low"]})"
+      "\n");
+}
+
+TEST(PredictWireTest, ForestBodyWithProbsIsPinned) {
+  Forest forest(ThreeClassSchema());
+  for (int m = 0; m < 10; ++m) {
+    ASSERT_TRUE(forest
+                    .AddTree(ThreeClassTree(
+                        20.0f + 5.0f * static_cast<float>(m),
+                        static_cast<ClassLabel>(m % 3),
+                        static_cast<ClassLabel>((m + 1) % 3)))
+                    .ok());
+  }
+  auto store = ModelStore::Create(std::move(forest));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(
+      PredictBodyFrom(std::move(*store),
+                      R"({"tuples": [[18, "sedan"], [33, "sports"],)"
+                      R"( [47, "truck"], [null, 0], [60, 1], [29.5, 2]]})"),
+      R"({"epoch": 1, "codes": [0,2,0,0,2,2], "labels": ["high",)"
+      R"("mid \"x\\y\"","high","high","mid \"x\\y\"","mid \"x\\y\""], )"
+      R"("probs": [[0.40000000000000002,0.29999999999999999,)"
+      R"(0.29999999999999999],[0.29999999999999999,0.20000000000000001,)"
+      R"(0.5],[0.40000000000000002,0.29999999999999999,)"
+      R"(0.29999999999999999],[0.40000000000000002,0.29999999999999999,)"
+      R"(0.29999999999999999],[0.10000000000000001,0,0.90000000000000002],)"
+      R"([0.29999999999999999,0.29999999999999999,0.40000000000000002]]})"
+      "\n");
 }
 
 }  // namespace

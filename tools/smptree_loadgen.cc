@@ -10,7 +10,9 @@
 //
 // predict: `concurrency` client threads each hold one keep-alive
 // connection and replay batches of CSV rows until `requests` requests have
-// been sent. Prints throughput and a latency histogram. With --model,
+// been sent. Prints throughput, p50/p90/p99 latency computed from every
+// request's own sample (with the sample count), and a log2 histogram of
+// the same samples. With --model,
 // every response's label codes are checked against a local Classify of the
 // same rows -- the end-to-end exactness check.
 //
@@ -36,6 +38,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -116,9 +119,38 @@ struct PredictShared {
   std::atomic<uint64_t> dropped{0};   ///< open loop: never sent, too stale
   std::atomic<uint64_t> timeouts{0};  ///< open loop: sent, over timeout
   LatencyHistogram latency;
+  /// Raw per-request latencies, one vector per client thread; the
+  /// percentiles come from these, not from the histogram's log2 buckets.
+  std::vector<std::vector<uint64_t>> samples;
 };
 
-void PredictClient(PredictShared* shared) {
+/// Nearest-rank percentile of sorted, non-empty `samples`.
+uint64_t Percentile(const std::vector<uint64_t>& samples, double q) {
+  const double rank = std::ceil(q * static_cast<double>(samples.size()));
+  const size_t index = static_cast<size_t>(std::max(rank, 1.0)) - 1;
+  return samples[std::min(index, samples.size() - 1)];
+}
+
+std::string Millis(uint64_t nanos) {
+  return StringPrintf("%.3fms", static_cast<double>(nanos) / 1e6);
+}
+
+/// "n=... p50=... p90=... p99=... max=..." over every request's sample.
+std::string RawPercentiles(const PredictShared& shared) {
+  std::vector<uint64_t> all;
+  for (const std::vector<uint64_t>& client : shared.samples) {
+    all.insert(all.end(), client.begin(), client.end());
+  }
+  if (all.empty()) return "n=0";
+  std::sort(all.begin(), all.end());
+  return StringPrintf("n=%zu p50=%s p90=%s p99=%s max=%s", all.size(),
+                      Millis(Percentile(all, 0.50)).c_str(),
+                      Millis(Percentile(all, 0.90)).c_str(),
+                      Millis(Percentile(all, 0.99)).c_str(),
+                      Millis(all.back()).c_str());
+}
+
+void PredictClient(PredictShared* shared, size_t slot) {
   HttpClientConnection conn(shared->host, shared->port);
   const int64_t n = shared->data->num_tuples();
   for (;;) {
@@ -161,6 +193,7 @@ void PredictClient(PredictShared* shared) {
                       .count())
             : static_cast<uint64_t>(timer.Seconds() * 1e9);
     shared->latency.Record(nanos);
+    shared->samples[slot].push_back(nanos);
     if (shared->rate > 0.0 &&
         nanos > static_cast<uint64_t>(shared->timeout_ms) * 1000000ull) {
       shared->timeouts.fetch_add(1);
@@ -263,8 +296,9 @@ int RunPredict(const std::map<std::string, std::string>& flags,
   shared.start = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
   clients.reserve(static_cast<size_t>(concurrency));
-  for (int64_t c = 0; c < concurrency; ++c) {
-    clients.emplace_back(PredictClient, &shared);
+  shared.samples.resize(static_cast<size_t>(concurrency));
+  for (size_t c = 0; c < shared.samples.size(); ++c) {
+    clients.emplace_back(PredictClient, &shared, c);
   }
   for (std::thread& t : clients) t.join();
   const double seconds = elapsed.Seconds();
@@ -296,7 +330,7 @@ int RunPredict(const std::map<std::string, std::string>& flags,
       "latency: %s\n%s",
       seconds, static_cast<double>(sent) / seconds,
       static_cast<double>(shared.tuples.load()) / seconds,
-      shared.latency.Summary().c_str(), shared.latency.ToAscii().c_str());
+      RawPercentiles(shared).c_str(), shared.latency.ToAscii().c_str());
   return errors == 0 && mismatches == 0 ? 0 : 1;
 }
 
