@@ -1,10 +1,9 @@
-// Connection-scaling benchmark for the HTTP front ends: an in-process
+// Connection-scaling benchmark for the HTTP front end: an in-process
 // InferenceService (real sockets on loopback) is driven open-loop by C
-// keep-alive connections, sweeping C across {1, 4, 16, 64} for the epoll
-// event loop with the threaded pool as the reference at C <= its thread
-// count. The point under test is the connection path, not the model: the
-// epoll rows must keep answering as C grows far past the 4 dispatch
-// threads, where the threaded front end would strand all but 4 clients.
+// keep-alive connections, sweeping C across {1, 4, 16, 64}. The point
+// under test is the connection path, not the model: the event loop must
+// keep answering as C grows far past the 4 dispatch threads, where a
+// thread-per-connection server would strand all but 4 clients.
 //
 //   serve_scaling [--quick] [--rate R] [--requests N] [--timeout-ms T]
 //                 [--out runs.json]
@@ -55,7 +54,6 @@ struct Config {
 };
 
 struct Point {
-  const char* front_end = "";
   int connections = 0;
   double offered_rps = 0;
   uint64_t sent = 0;
@@ -93,8 +91,7 @@ std::string PredictBody(const Dataset& data) {
 }
 
 Point RunPoint(InferenceService* service, const Config& config,
-               const std::string& body, const char* front_end,
-               int connections) {
+               const std::string& body, int connections) {
   struct Shared {
     std::chrono::steady_clock::time_point start;
     std::atomic<int64_t> next_request{0};
@@ -149,7 +146,6 @@ Point RunPoint(InferenceService* service, const Config& config,
   for (std::thread& t : clients) t.join();
 
   Point point;
-  point.front_end = front_end;
   point.connections = connections;
   point.offered_rps = config.rate;
   point.seconds = elapsed.Seconds();
@@ -220,33 +216,17 @@ int Main(int argc, char** argv) {
   const std::string model_bytes = SerializeTree(*trained->tree);
   const std::string body = PredictBody(data);
 
-  // Sweep grid: the epoll event loop across connection counts far past
-  // the dispatch-thread count; the threaded pool only where its thread
-  // count can actually serve every connection (its rows at higher C would
-  // measure queueing starvation, not the connection path).
-  struct SweepEntry {
-    HttpServer::FrontEnd front_end;
-    const char* name;
-    int connections;
-  };
-  std::vector<SweepEntry> sweep{
-      {HttpServer::FrontEnd::kEpoll, "epoll", 1},
-      {HttpServer::FrontEnd::kEpoll, "epoll", 4},
-      {HttpServer::FrontEnd::kEpoll, "epoll", 16},
-      {HttpServer::FrontEnd::kEpoll, "epoll", 64},
-      {HttpServer::FrontEnd::kThreaded, "threaded", 1},
-      {HttpServer::FrontEnd::kThreaded, "threaded", 4},
-  };
+  // Sweep grid: connection counts up to 16x the dispatch-thread count.
+  const int sweep[] = {1, 4, 16, 64};
 
   std::vector<Point> points;
-  TablePrinter table({"FrontEnd", "Conns", "Sent", "Dropped", "Timeouts",
+  TablePrinter table({"Conns", "Sent", "Dropped", "Timeouts",
                       "Errors", "Tuples/s", "p50(ms)", "p99(ms)"});
-  for (const SweepEntry& entry : sweep) {
+  for (const int connections : sweep) {
     ServiceOptions options;
     options.engine.num_workers = 0;
     options.http.port = 0;
     options.http.num_threads = kDispatchThreads;
-    options.http.front_end = entry.front_end;
     options.allow_reload = false;
     auto tree = DeserializeTree(data.schema(), model_bytes);
     if (!tree.ok()) {
@@ -266,11 +246,10 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "start failed: %s\n", started.ToString().c_str());
       return 1;
     }
-    const Point p = RunPoint(&service, config, body, entry.name,
-                             entry.connections);
+    const Point p = RunPoint(&service, config, body, connections);
     service.Stop();
     points.push_back(p);
-    table.AddRow({p.front_end, Fmt("%d", p.connections),
+    table.AddRow({Fmt("%d", p.connections),
                   Fmt("%llu", (unsigned long long)p.sent),
                   Fmt("%llu", (unsigned long long)p.dropped),
                   Fmt("%llu", (unsigned long long)p.timeouts),
@@ -280,10 +259,9 @@ int Main(int argc, char** argv) {
   }
   table.Print();
   std::printf(
-      "\nexpected shape: the epoll rows stay healthy (no drops, no errors)\n"
+      "\nexpected shape: every row stays healthy (no drops, no errors)\n"
       "as connections grow 16x past the dispatch-thread count; p99 tracks\n"
-      "offered load, not connection count. The threaded rows cap at\n"
-      "num_threads live connections by construction.\n");
+      "offered load, not connection count.\n");
 
   if (!config.out.empty()) {
     std::string json = StringPrintf(
@@ -300,12 +278,12 @@ int Main(int argc, char** argv) {
     for (size_t i = 0; i < points.size(); ++i) {
       const Point& p = points[i];
       json += StringPrintf(
-          "%s\n  {\"front_end\": \"%s\", \"connections\": %d, "
+          "%s\n  {\"connections\": %d, "
           "\"dispatch_threads\": %d, \"offered_rps\": %.1f, "
           "\"batch\": %lld, \"sent\": %llu, \"dropped\": %llu, "
           "\"timeouts\": %llu, \"errors\": %llu, \"seconds\": %s, "
           "\"tuples_per_second\": %s, \"p50_ms\": %s, \"p99_ms\": %s}",
-          i == 0 ? "" : ",", p.front_end, p.connections, kDispatchThreads,
+          i == 0 ? "" : ",", p.connections, kDispatchThreads,
           p.offered_rps, static_cast<long long>(kBatchTuples),
           (unsigned long long)p.sent, (unsigned long long)p.dropped,
           (unsigned long long)p.timeouts, (unsigned long long)p.errors,

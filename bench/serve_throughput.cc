@@ -1,6 +1,6 @@
 // Serving-side throughput/latency sweep: drives PredictionEngine directly
 // (no HTTP) over worker-count x batch-size, closed loop with one caller
-// thread per engine worker. Reports tuples/s and per-batch service latency
+// thread per engine scoring slot. Reports tuples/s and per-batch service latency
 // quantiles as a table, then re-emits every row as a JSON array on the
 // last line so dashboards and scripts can scrape the results.
 
@@ -38,8 +38,8 @@ SweepPoint RunPoint(const ModelStore* store, const Dataset& data,
   options.num_workers = workers;
   PredictionEngine engine(store, options);
 
-  // Closed loop: as many callers as workers, so every worker stays busy
-  // but the queue never grows unboundedly. Scale the request count so each
+  // Closed loop: as many callers as scoring slots, so every slot stays busy
+  // and no caller waits for one. Scale the request count so each
   // configuration scores a comparable number of tuples.
   const int callers = workers;
   const int64_t batches_per_caller =

@@ -22,7 +22,7 @@
 // Concurrency: a FlatTree/FlatForest is immutable after Compile, so any
 // number of threads may score against it with no synchronization -- the
 // same published-then-read contract as core/tree.h, and what lets
-// serve/model_store.h hand one compiled copy to every engine worker.
+// serve/model_store.h hand one compiled copy to every scoring thread.
 
 #ifndef SMPTREE_INFER_FLAT_TREE_H_
 #define SMPTREE_INFER_FLAT_TREE_H_

@@ -31,7 +31,7 @@ class Batch {
   }
 
   /// Gathers row `tuple` into `out` (resized to num_attrs). `out` is a
-  /// caller-owned scratch buffer so the per-worker arena can reuse it
+  /// caller-owned scratch buffer so a scoring arena can reuse it
   /// across rows with no allocation.
   void GatherTuple(int64_t tuple, TupleValues* out) const;
 

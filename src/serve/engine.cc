@@ -1,6 +1,6 @@
 #include "serve/engine.h"
 
-#include <algorithm>
+#include <thread>
 
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -9,34 +9,44 @@ namespace smptree {
 
 PredictionEngine::PredictionEngine(const ModelStore* store,
                                    EngineOptions options)
-    : store_(store),
-      options_(std::move(options)),
-      queue_(std::max<size_t>(1, options_.queue_capacity)) {
+    : store_(store), options_(std::move(options)) {
   int n = options_.num_workers;
   if (n <= 0) {
     n = static_cast<int>(std::thread::hardware_concurrency());
     if (n <= 0) n = 2;
   }
   arenas_.reserve(static_cast<size_t>(n));
-  workers_.reserve(static_cast<size_t>(n));
+  free_arenas_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     arenas_.push_back(std::make_unique<WorkerArena>());
-  }
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    free_arenas_.push_back(arenas_.back().get());
   }
 }
 
-PredictionEngine::~PredictionEngine() {
-  Shutdown();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+void PredictionEngine::Shutdown() {
+  MutexLock lock(mu_);
+  shut_down_ = true;
+  slot_freed_.NotifyAll();
 }
 
-void PredictionEngine::Shutdown() { queue_.Close(); }
+PredictionEngine::WorkerArena* PredictionEngine::AcquireArena() {
+  MutexLock lock(mu_);
+  ++waiting_;
+  while (!shut_down_ && free_arenas_.empty()) slot_freed_.Wait(mu_);
+  --waiting_;
+  if (shut_down_) return nullptr;
+  WorkerArena* arena = free_arenas_.back();
+  free_arenas_.pop_back();
+  return arena;
+}
 
-Result<PredictOutcome> PredictionEngine::Predict(Batch batch) {
+void PredictionEngine::ReleaseArena(WorkerArena* arena) {
+  MutexLock lock(mu_);
+  free_arenas_.push_back(arena);
+  slot_freed_.NotifyOne();
+}
+
+Result<PredictOutcome> PredictionEngine::Predict(const Batch& batch) {
   if (batch.num_tuples() <= 0) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::InvalidArgument("empty batch");
@@ -47,63 +57,43 @@ Result<PredictOutcome> PredictionEngine::Predict(Batch batch) {
         "batch has %d attributes, serving schema has %d", batch.num_attrs(),
         store_->schema().num_attrs()));
   }
-  Request request(std::move(batch));
-  if (!queue_.Push(&request)) {
+  Timer timer;
+  WorkerArena* const arena = AcquireArena();
+  if (arena == nullptr) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Aborted("prediction engine is shut down");
   }
-  {
-    MutexLock lock(request.mu);
-    while (!request.done) request.cv.Wait(request.mu);
+
+  // The batch's model snapshot: one atomic load; holding the shared_ptr
+  // keeps this epoch's tree alive past any concurrent reload.
+  const ServingModelPtr model = store_->Current();
+  if (options_.test_batch_hook) options_.test_batch_hook(model->epoch);
+
+  // Score the whole batch through the snapshot's flattened model: one
+  // exact-size resize per output buffer, then the scorer writes labels
+  // and probs in place -- no per-tuple row gather, no interim copies.
+  PredictOutcome outcome;
+  const int64_t n = batch.num_tuples();
+  outcome.labels.resize(static_cast<size_t>(n));
+  if (model->kind == ModelKind::kForest) {
+    // Forests also report vote shares; the whole batch scores against the
+    // one snapshot taken above, so no reload can tear labels from probs.
+    const int k = model->schema().num_classes();
+    outcome.num_classes = k;
+    outcome.probs.resize(static_cast<size_t>(n * k));
+    arena->scorer.ScoreForest(*model->flat_forest, batch,
+                              outcome.labels.data(), outcome.probs.data());
+  } else {
+    arena->scorer.ScoreTree(model->flat_tree, batch, outcome.labels.data());
   }
-  return std::move(request.outcome);
-}
+  outcome.model_epoch = model->epoch;
 
-void PredictionEngine::WorkerLoop(int worker_index) {
-  WorkerArena& arena = *arenas_[static_cast<size_t>(worker_index)];
-  for (;;) {
-    std::optional<Request*> item = queue_.Pop();
-    if (!item.has_value()) return;  // shutdown, queue drained
-    Request* request = *item;
-    Timer timer;
-
-    // The batch's model snapshot: one atomic load; holding the shared_ptr
-    // keeps this epoch's tree alive past any concurrent reload.
-    const ServingModelPtr model = store_->Current();
-    if (options_.test_batch_hook) options_.test_batch_hook(model->epoch);
-
-    // Score the whole batch through the snapshot's flattened model: one
-    // exact-size resize per output buffer, then the scorer writes labels
-    // and probs in place -- no per-tuple row gather, no interim copies.
-    const int64_t n = request->batch.num_tuples();
-    request->outcome.labels.resize(static_cast<size_t>(n));
-    if (model->kind == ModelKind::kForest) {
-      // Forests also report vote shares; the whole batch scores against the
-      // one snapshot taken above, so no reload can tear labels from probs.
-      const int k = model->schema().num_classes();
-      request->outcome.num_classes = k;
-      request->outcome.probs.resize(static_cast<size_t>(n * k));
-      arena.scorer.ScoreForest(*model->flat_forest, request->batch,
-                               request->outcome.labels.data(),
-                               request->outcome.probs.data());
-    } else {
-      arena.scorer.ScoreTree(model->flat_tree, request->batch,
-                             request->outcome.labels.data());
-    }
-    request->outcome.model_epoch = model->epoch;
-
-    arena.batch_size.Record(static_cast<uint64_t>(n));
-    arena.latency.Record(static_cast<uint64_t>(timer.Seconds() * 1e9));
-    arena.batches.fetch_add(1, std::memory_order_relaxed);
-    arena.tuples.fetch_add(static_cast<uint64_t>(n),
-                           std::memory_order_relaxed);
-
-    MutexLock lock(request->mu);
-    request->done = true;
-    request->cv.NotifyAll();
-    // `request` lives on the caller's stack and may be destroyed as soon
-    // as done is observed; do not touch it after the lock drops.
-  }
+  arena->batch_size.Record(static_cast<uint64_t>(n));
+  arena->latency.Record(static_cast<uint64_t>(timer.Seconds() * 1e9));
+  arena->batches.fetch_add(1, std::memory_order_relaxed);
+  arena->tuples.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+  ReleaseArena(arena);
+  return outcome;
 }
 
 EngineStats PredictionEngine::Stats() const {
@@ -117,8 +107,11 @@ EngineStats PredictionEngine::Stats() const {
     merged_sizes.Merge(arena->batch_size);
   }
   stats.rejected = rejected_.load(std::memory_order_relaxed);
-  stats.queue_depth = queue_.size();
-  stats.workers = static_cast<int>(workers_.size());
+  {
+    MutexLock lock(mu_);
+    stats.queue_depth = waiting_;
+  }
+  stats.workers = num_workers();
   stats.mean_nanos = merged.mean_nanos();
   stats.p50_nanos = merged.QuantileNanos(0.5);
   stats.p90_nanos = merged.QuantileNanos(0.9);

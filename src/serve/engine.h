@@ -1,18 +1,20 @@
-// PredictionEngine: the scoring core of the serving subsystem. A fixed pool
-// of worker threads pops Batch requests from a bounded MPMC queue
-// (serve/work_queue.h) and scores each whole batch through the snapshot's
+// PredictionEngine: the scoring core of the serving subsystem. Predict
+// scores each whole batch on the calling thread through the snapshot's
 // flattened model (infer/batch_scorer.h) -- level-synchronous traversal
 // straight off the Batch columns, no per-tuple row gather, no pointer
-// chasing.
+// chasing. There are no engine threads and no request hand-off: the caller
+// borrows one of `num_workers` scoring slots, scores, and returns it.
 //
 // Concurrency model (the read-side mirror of the paper's build-side
-// protocols): workers share NOTHING mutable on the hot path. Each batch
+// protocols): callers share NOTHING mutable on the hot path. Each batch
 // takes one ServingModelPtr snapshot from the ModelStore -- an O(1)
 // pointer copy -- and scores every tuple against that snapshot (the flat
 // form is compiled into the snapshot at install time), so a hot reload
 // mid-batch never changes the model under a batch and never blocks.
-// Per-worker arenas hold the scorer scratch and private histograms
-// (latency + batch size); /statz merges them on demand.
+// Each slot is an arena holding the scorer scratch and private histograms
+// (latency + batch size); /statz merges them on demand. The only shared
+// lock guards the free-slot list, and a caller waits on it only when every
+// slot is busy.
 
 #ifndef SMPTREE_SERVE_ENGINE_H_
 #define SMPTREE_SERVE_ENGINE_H_
@@ -23,7 +25,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/records.h"
@@ -31,20 +32,19 @@
 #include "serve/batch.h"
 #include "serve/latency_histogram.h"
 #include "serve/model_store.h"
-#include "serve/work_queue.h"
 #include "util/mutex.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace smptree {
 
 struct EngineOptions {
-  /// Worker threads scoring batches; 0 means hardware_concurrency.
+  /// Scoring slots: at most this many batches score at once, further
+  /// callers wait for a slot. 0 means hardware_concurrency.
   int num_workers = 0;
-  /// Bound on queued batches; producers block when full (backpressure).
-  size_t queue_capacity = 128;
-  /// Test-only: called by the worker after it takes its model snapshot and
-  /// before it scores, with the snapshot's epoch. Lets tests hold a batch
-  /// "in flight" across a reload deterministically.
+  /// Test-only: called by the scoring thread after it takes its model
+  /// snapshot and before it scores, with the snapshot's epoch. Lets tests
+  /// hold a batch "in flight" across a reload deterministically.
   std::function<void(int64_t epoch)> test_batch_hook;
 };
 
@@ -67,9 +67,9 @@ struct EngineStats {
   uint64_t batches = 0;         ///< batches scored
   uint64_t tuples = 0;          ///< tuples scored
   uint64_t rejected = 0;        ///< batches rejected before scoring
-  size_t queue_depth = 0;       ///< instantaneous queued batches
-  int workers = 0;
-  double mean_nanos = 0.0;      ///< per-batch service latency (queue+score)
+  size_t queue_depth = 0;       ///< callers now waiting for a free slot
+  int workers = 0;              ///< scoring slots
+  double mean_nanos = 0.0;      ///< per-batch latency (slot wait + score)
   uint64_t p50_nanos = 0;
   uint64_t p90_nanos = 0;
   uint64_t p99_nanos = 0;
@@ -87,66 +87,52 @@ struct EngineStats {
 
 class PredictionEngine {
  public:
-  /// `store` must outlive the engine. Workers start immediately.
+  /// `store` must outlive the engine. Starts no threads.
   PredictionEngine(const ModelStore* store, EngineOptions options);
-
-  /// Joins the workers (Shutdown() if not already called).
-  ~PredictionEngine();
 
   PredictionEngine(const PredictionEngine&) = delete;
   PredictionEngine& operator=(const PredictionEngine&) = delete;
 
-  /// Scores `batch`: enqueues it and blocks until a worker completes it.
-  /// Safe to call from any number of threads concurrently. Fails without
-  /// scoring when the batch arity does not match the serving schema or the
-  /// engine is shutting down.
-  Result<PredictOutcome> Predict(Batch batch);
+  /// Scores `batch` on the calling thread, waiting first if every scoring
+  /// slot is busy. Safe to call from any number of threads concurrently.
+  /// Fails without scoring when the batch arity does not match the serving
+  /// schema or the engine is shut down.
+  Result<PredictOutcome> Predict(const Batch& batch) EXCLUDES(mu_);
 
-  /// Closes the queue; queued batches still complete, new Predict calls
-  /// fail with Aborted. Idempotent.
-  void Shutdown();
+  /// Batches already scoring complete; callers waiting for a slot and new
+  /// Predict calls fail with Aborted. Idempotent.
+  void Shutdown() EXCLUDES(mu_);
 
-  EngineStats Stats() const;
+  EngineStats Stats() const EXCLUDES(mu_);
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return static_cast<int>(arenas_.size()); }
 
  private:
-  /// One in-flight request: the caller stack-allocates it, the worker
-  /// fills outcome/status and signals done.
-  struct Request {
-    explicit Request(Batch b) : batch(std::move(b)) {}
-
-    // Handoff protocol, not lock coverage: the worker fills batch/outcome
-    // while it solely owns the request, then sets done under mu; the
-    // caller touches them again only after observing done under mu.
-    // lint: unguarded(worker-owned until done is set under mu)
-    Batch batch;
-    // lint: unguarded(worker-owned until done is set under mu)
-    PredictOutcome outcome;
-
-    Mutex mu;
-    CondVar cv;
-    bool done GUARDED_BY(mu) = false;
-  };
-
-  /// Per-worker arena: scorer scratch reused across batches, and the
-  /// worker's private slice of the stats.
+  /// One scoring slot: scorer scratch reused across batches, and the
+  /// slot's private slice of the stats.
   struct WorkerArena {
     BatchScorer scorer;            ///< cursor/vote scratch (infer/)
-    LatencyHistogram latency;      ///< per-batch service latency
+    LatencyHistogram latency;      ///< per-batch latency (wait + score)
     LatencyHistogram batch_size;   ///< tuples per batch (log2 buckets)
     std::atomic<uint64_t> batches{0};
     std::atomic<uint64_t> tuples{0};
   };
 
-  void WorkerLoop(int worker_index);
+  /// Takes a free slot, waiting while none is; nullptr once shut down.
+  WorkerArena* AcquireArena() EXCLUDES(mu_);
+  void ReleaseArena(WorkerArena* arena) EXCLUDES(mu_);
 
   const ModelStore* const store_;
   const EngineOptions options_;
-  WorkQueue<Request*> queue_;
+  // lint: unguarded(filled in the constructor, immutable afterwards)
   std::vector<std::unique_ptr<WorkerArena>> arenas_;
-  std::vector<std::thread> workers_;
   std::atomic<uint64_t> rejected_{0};
+
+  mutable Mutex mu_;
+  CondVar slot_freed_;
+  std::vector<WorkerArena*> free_arenas_ GUARDED_BY(mu_);
+  size_t waiting_ GUARDED_BY(mu_) = 0;
+  bool shut_down_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace smptree

@@ -1,13 +1,13 @@
-// Incremental HTTP/1.x request parser shared by both serving front ends
-// (the threaded accept pool and the epoll event loop). The parser owns a
-// byte buffer: callers Feed() whatever recv() produced -- a single byte, a
-// half request, or several pipelined requests in one TCP segment -- and the
-// state machine advances as far as the bytes allow. When a request
-// completes, the caller takes it, calls Reset(), and Advance() may complete
-// the *next* request from the already-buffered remainder without another
-// read (pipelined keep-alive).
+// Incremental HTTP/1.x request parser of the serving front end
+// (serve/http_server.h). The parser owns a byte buffer: callers Feed()
+// whatever recv() produced -- a single byte, a half request, or several
+// pipelined requests in one TCP segment -- and the state machine advances
+// as far as the bytes allow. When a request completes, the caller takes
+// it, calls Reset(), and Advance() may complete the *next* request from
+// the already-buffered remainder without another read (pipelined
+// keep-alive).
 //
-// Protocol decisions centralized here so the two front ends cannot drift:
+// Protocol decisions centralized here:
 //   - the request-line HTTP version is parsed; HTTP/1.0 requests default to
 //     Connection: close unless the client sends a keep-alive token,
 //     HTTP/1.1 defaults to keep-alive unless it sends close (RFC 7230 6.3);

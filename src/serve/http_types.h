@@ -1,5 +1,5 @@
 // Wire-level HTTP request/response structs and response rendering, shared
-// by the parser, both serving front ends, and the client. Kept free of any
+// by the parser, the serving front end, and the client. Kept free of any
 // socket or threading concerns so the protocol layer is testable in
 // isolation.
 
@@ -35,8 +35,7 @@ struct HttpResponse {
 const char* HttpStatusText(int status);
 
 /// Serializes the response head + body; `keep_alive` picks the Connection
-/// header. Identical bytes regardless of front end -- the parity contract
-/// between the threaded and epoll servers lives here.
+/// header.
 std::string RenderHttpResponse(const HttpResponse& response, bool keep_alive);
 
 }  // namespace smptree

@@ -1,7 +1,7 @@
 // Log-bucketed latency histogram for the serving stats: O(1) lock-free
 // Record() into power-of-two nanosecond buckets, quantile estimation from a
-// merged snapshot. Each prediction worker owns one histogram (no sharing on
-// the hot path); /statz merges the per-worker histograms on demand.
+// merged snapshot. Each engine scoring slot owns one histogram (no sharing
+// on the hot path); /statz merges the per-slot histograms on demand.
 
 #ifndef SMPTREE_SERVE_LATENCY_HISTOGRAM_H_
 #define SMPTREE_SERVE_LATENCY_HISTOGRAM_H_

@@ -43,8 +43,8 @@ Status InferenceService::Start() { return http_.Start(); }
 
 void InferenceService::Stop() {
   // Order matters: stop the front end first so no new batches arrive, then
-  // drain the engine. In-flight predicts complete before Stop returns
-  // because HttpServer joins its connection threads.
+  // shut the engine. In-flight predicts complete before Stop returns
+  // because HttpServer joins its dispatch threads, which score them.
   http_.Stop();
   engine_.Shutdown();
 }
@@ -215,15 +215,15 @@ HttpResponse InferenceService::HandleStatz(const HttpRequest&) {
       JsonNumber(static_cast<double>(stats.p50_nanos) / 1e6).c_str(),
       JsonNumber(static_cast<double>(stats.p90_nanos) / 1e6).c_str(),
       JsonNumber(static_cast<double>(stats.p99_nanos) / 1e6).c_str());
-  // Connection-path counters from whichever front end is serving; spliced
-  // in as an "http" member before the outer closing brace (the body above
-  // always ends "}}\n").
+  // Connection-path counters of the front end, spliced in as an "http"
+  // member before the outer closing brace (the body above always ends
+  // "}}\n"). "front_end" is a constant, kept so existing scrapers keep
+  // working.
   const std::string http_json = StringPrintf(
-      ", \"http\": {\"front_end\": \"%s\", \"open_connections\": %llu, "
+      ", \"http\": {\"front_end\": \"epoll\", \"open_connections\": %llu, "
       "\"accepted\": %llu, \"requests\": %llu, "
       "\"pipelined_requests\": %llu, \"backpressure_stalls\": %llu, "
       "\"idle_timeouts\": %llu, \"protocol_errors\": %llu}",
-      http.front_end,
       static_cast<unsigned long long>(http.open_connections),
       static_cast<unsigned long long>(http.accepted),
       static_cast<unsigned long long>(http.requests),

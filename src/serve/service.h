@@ -1,5 +1,5 @@
 // InferenceService: binds the serving layers together -- ModelStore (model
-// lifecycle) + PredictionEngine (scoring pool) + HttpServer (front end) --
+// lifecycle) + PredictionEngine (scoring slots) + HttpServer (front end) --
 // and implements the HTTP API:
 //
 //   POST /v1/predict  {"tuples": [[v, ...], ...]}

@@ -1,6 +1,6 @@
 // Bounded MPMC blocking queue used for request handoff in the serving
-// subsystem: producers (HTTP connection threads, the load generator's
-// clients) push work items, consumers (prediction workers) pop them. Built
+// subsystem: the HTTP event loop pushes parsed requests, the dispatch
+// threads that run the handlers pop them. Built
 // on the annotated Mutex/CondVar wrappers so -Wthread-safety verifies the
 // protocol. Close() drains nothing: already-queued items are still handed
 // out, then Pop() reports shutdown -- the server uses this to finish

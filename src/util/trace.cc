@@ -7,7 +7,11 @@
 namespace smptree {
 
 namespace trace_internal {
+namespace {
 thread_local ThreadBuffer* t_buffer = nullptr;
+}  // namespace
+
+ThreadBuffer* CurrentBuffer() { return t_buffer; }
 }  // namespace trace_internal
 
 trace_internal::ThreadBuffer* TraceRecorder::AttachThread(int tid) {

@@ -50,8 +50,12 @@ struct ThreadBuffer {
 };
 
 /// Current thread's buffer; null when the thread is not bound to a recorder
-/// (the common case -- every TraceSpan checks this first).
-extern thread_local ThreadBuffer* t_buffer;
+/// (the common case -- every TraceSpan checks this first). The thread_local
+/// behind it is private to trace.cc: read there, gcc loads it directly
+/// instead of through the TLS wrapper function it emits for an extern
+/// thread_local, which UBSan misreports as a null-pointer load on unbound
+/// threads.
+ThreadBuffer* CurrentBuffer();
 
 }  // namespace trace_internal
 
@@ -114,12 +118,12 @@ class TraceThreadBinding {
 
 /// RAII span: records [construction, destruction) on the bound thread's
 /// buffer. `name` and `cat` must be string literals. Unbound threads pay one
-/// thread_local load and nothing else.
+/// call and one thread_local load, nothing else.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, const char* cat = "phase",
                      int level = -1, int64_t arg = -1)
-      : buffer_(trace_internal::t_buffer) {
+      : buffer_(trace_internal::CurrentBuffer()) {
     if (buffer_ == nullptr) return;
     name_ = name;
     cat_ = cat;

@@ -144,8 +144,7 @@ TEST(PredictionEngineTest, ConcurrentPredictsFromManyThreads) {
   auto store = ModelStore::Create(CarTree());
   ASSERT_TRUE(store.ok());
   EngineOptions options;
-  options.num_workers = 3;
-  options.queue_capacity = 4;  // force producer backpressure too
+  options.num_workers = 3;  // 6 callers on 3 slots: callers must wait
   PredictionEngine engine(store->get(), options);
 
   const Dataset data = CarRows();
@@ -230,6 +229,62 @@ TEST(PredictionEngineTest, InFlightBatchSurvivesReload) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->model_epoch, 2);
   for (const ClassLabel label : after->labels) EXPECT_EQ(label, 1);
+}
+
+// With every scoring slot busy, a caller waits (and is counted in
+// queue_depth); Shutdown aborts the waiter but not the batch that holds the
+// slot, which still completes against the model it snapshotted.
+TEST(PredictionEngineTest, ShutdownAbortsCallerWaitingForSlot) {
+  auto store = ModelStore::Create(CarTree());
+  ASSERT_TRUE(store.ok());
+  std::atomic<bool> batch_started{false};
+  std::atomic<bool> release_batch{false};
+  EngineOptions options;
+  options.num_workers = 1;
+  options.test_batch_hook = [&](int64_t) {
+    batch_started.store(true, std::memory_order_release);
+    while (!release_batch.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  PredictionEngine engine(store->get(), options);
+
+  const Dataset data = CarRows();
+  Result<PredictOutcome> held = Status::Internal("not run");
+  std::thread holder([&] {
+    held = engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+  });
+  while (!batch_started.load(std::memory_order_acquire)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  Result<PredictOutcome> waiter_result = Status::Internal("not run");
+  std::thread waiter([&] {
+    waiter_result =
+        engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.Stats().queue_depth == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(engine.Stats().queue_depth, 1u);
+
+  engine.Shutdown();
+  waiter.join();
+  ASSERT_FALSE(waiter_result.ok());
+  EXPECT_TRUE(waiter_result.status().IsAborted())
+      << waiter_result.status().ToString();
+  EXPECT_EQ(engine.Stats().queue_depth, 0u);
+
+  release_batch.store(true, std::memory_order_release);
+  holder.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  EXPECT_EQ(held->model_epoch, 1);
+  EXPECT_EQ(held->labels.size(), static_cast<size_t>(data.num_tuples()));
+  const EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.rejected, 1u);
 }
 
 TEST(PredictionEngineTest, StatsReportLatencyQuantiles) {

@@ -1,10 +1,9 @@
-// Wire-level tests of the two HTTP front ends (epoll event loop and the
-// threaded pool), driven through raw sockets so TCP segmentation is under
-// test control: pipelined requests in one segment, byte-at-a-time trickled
-// headers, HTTP/1.0 persistence defaults, oversized header floods, and
-// slow readers that force write backpressure. Most tests run against both
-// front ends via the Options::front_end switch; the parity test asserts
-// the two produce byte-identical responses for the same wire input.
+// Wire-level tests of the HTTP front end (the epoll event loop), driven
+// through raw sockets so TCP segmentation is under test control: pipelined
+// requests in one segment, byte-at-a-time trickled headers, HTTP/1.0
+// persistence defaults, oversized header floods, and slow readers that
+// force write backpressure. The parity test pins the exact response bytes
+// for a battery of wire inputs.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -144,7 +143,7 @@ std::string BodyOf(const std::string& response) {
 }
 
 /// Registers the test routes and starts the server with the given options.
-std::unique_ptr<HttpServer> StartServer(HttpServer::Options options) {
+std::unique_ptr<HttpServer> StartServer(HttpServer::Options options = {}) {
   options.bind_address = "127.0.0.1";
   options.port = 0;
   auto server = std::make_unique<HttpServer>(std::move(options));
@@ -177,16 +176,8 @@ std::unique_ptr<HttpServer> StartServer(HttpServer::Options options) {
   return server;
 }
 
-class FrontEndTest : public testing::TestWithParam<HttpServer::FrontEnd> {
- protected:
-  std::unique_ptr<HttpServer> Server(HttpServer::Options options = {}) {
-    options.front_end = GetParam();
-    return StartServer(std::move(options));
-  }
-};
-
-TEST_P(FrontEndTest, PipelinedRequestsInOneSegment) {
-  auto server = Server();
+TEST(FrontEndTest, PipelinedRequestsInOneSegment) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   // Three back-to-back requests in one send: the server must answer all
@@ -211,8 +202,8 @@ TEST_P(FrontEndTest, PipelinedRequestsInOneSegment) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, TrickledHeadersOneByteAtATime) {
-  auto server = Server();
+TEST(FrontEndTest, TrickledHeadersOneByteAtATime) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   const std::string wire =
@@ -226,8 +217,8 @@ TEST_P(FrontEndTest, TrickledHeadersOneByteAtATime) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, Http10ClosesByDefault) {
-  auto server = Server();
+TEST(FrontEndTest, Http10ClosesByDefault) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.Send("GET /ping HTTP/1.0\r\nHost: x\r\n\r\n"));
@@ -239,8 +230,8 @@ TEST_P(FrontEndTest, Http10ClosesByDefault) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, Http10KeepAliveTokenKeepsConnectionOpen) {
-  auto server = Server();
+TEST(FrontEndTest, Http10KeepAliveTokenKeepsConnectionOpen) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   // Token-list value, mixed case: must negotiate keep-alive on HTTP/1.0.
@@ -258,10 +249,10 @@ TEST_P(FrontEndTest, Http10KeepAliveTokenKeepsConnectionOpen) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, OversizedHeaderBlockAnswers431) {
+TEST(FrontEndTest, OversizedHeaderBlockAnswers431) {
   HttpServer::Options options;
   options.max_header_bytes = 1024;
-  auto server = Server(options);
+  auto server = StartServer(options);
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   std::string wire = "GET /ping HTTP/1.1\r\n";
@@ -276,8 +267,8 @@ TEST_P(FrontEndTest, OversizedHeaderBlockAnswers431) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, MalformedRequestAnswers400AndCloses) {
-  auto server = Server();
+TEST(FrontEndTest, MalformedRequestAnswers400AndCloses) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.Send("NONSENSE\r\n\r\n"));
@@ -287,8 +278,8 @@ TEST_P(FrontEndTest, MalformedRequestAnswers400AndCloses) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, MethodNotAllowedNamesAllowedMethods) {
-  auto server = Server();
+TEST(FrontEndTest, MethodNotAllowedNamesAllowedMethods) {
+  auto server = StartServer();
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.Send(
@@ -301,12 +292,12 @@ TEST_P(FrontEndTest, MethodNotAllowedNamesAllowedMethods) {
   server->Stop();
 }
 
-TEST_P(FrontEndTest, SlowReaderStillGetsFullResponse) {
-  auto server = Server();
+TEST(FrontEndTest, SlowReaderStillGetsFullResponse) {
+  auto server = StartServer();
   // A tiny receive window plus a multi-megabyte response forces the
-  // server-side socket buffer full: the epoll front end must buffer and
-  // arm EPOLLOUT (counted as a backpressure stall) instead of dropping
-  // or truncating; the threaded front end just blocks in send.
+  // server-side socket buffer full: the front end must buffer and arm
+  // EPOLLOUT (counted as a backpressure stall) instead of dropping or
+  // truncating.
   RawClient client(server->port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.Send("GET /big HTTP/1.1\r\nConnection: close\r\n\r\n"));
@@ -314,18 +305,16 @@ TEST_P(FrontEndTest, SlowReaderStillGetsFullResponse) {
   const std::string response = client.ReadUntilEof();
   EXPECT_EQ(StatusOf(response), 200);
   EXPECT_EQ(BodyOf(response), BigBody());
-  if (GetParam() == HttpServer::FrontEnd::kEpoll) {
-    EXPECT_GE(server->Stats().backpressure_stalls, 1u);
-  }
+  EXPECT_GE(server->Stats().backpressure_stalls, 1u);
   server->Stop();
 }
 
-TEST_P(FrontEndTest, StopDuringPipelinedRequests) {
+TEST(FrontEndTest, StopDuringPipelinedRequests) {
   // Stop() while one request is mid-handler and more are buffered behind
   // it: must not hang, crash, or race (this is the TSan exercise).
   HttpServer::Options options;
   options.num_threads = 2;
-  auto server = Server(options);
+  auto server = StartServer(options);
   RawClient client(server->port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client.Send(
@@ -343,7 +332,7 @@ TEST_P(FrontEndTest, StopDuringPipelinedRequests) {
   }
 }
 
-TEST_P(FrontEndTest, ClientSurvivesSignalsDuringLargeRead) {
+TEST(FrontEndTest, ClientSurvivesSignalsDuringLargeRead) {
   // The EINTR fix in HttpClientConnection: a directed signal interrupting
   // recv mid-body must not be treated as a hangup.
   struct sigaction action{};
@@ -352,7 +341,7 @@ TEST_P(FrontEndTest, ClientSurvivesSignalsDuringLargeRead) {
   // Deliberately no SA_RESTART: recv must return EINTR for this test.
   ::sigaction(SIGUSR1, &action, &saved);
 
-  auto server = Server();
+  auto server = StartServer();
   HttpClientConnection client("127.0.0.1", server->port());
   // Warm up the keep-alive connection first: connect() is not resumable
   // after EINTR, so only the recv loops should face the signal storm.
@@ -377,21 +366,11 @@ TEST_P(FrontEndTest, ClientSurvivesSignalsDuringLargeRead) {
   server->Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothFrontEnds, FrontEndTest,
-    testing::Values(HttpServer::FrontEnd::kEpoll,
-                    HttpServer::FrontEnd::kThreaded),
-    [](const testing::TestParamInfo<HttpServer::FrontEnd>& info) {
-      return info.param == HttpServer::FrontEnd::kEpoll ? "Epoll"
-                                                        : "Threaded";
-    });
-
 TEST(EpollScalingTest, ServesManyMoreConnectionsThanDispatchThreads) {
   // The acceptance bar for the event loop: 64 live keep-alive connections
-  // on 4 dispatch threads (16x), every one of them answered -- the
-  // threaded front end would strand all but num_threads of them.
+  // on 4 dispatch threads (16x), every one of them answered -- a
+  // thread-per-connection server would strand all but num_threads of them.
   HttpServer::Options options;
-  options.front_end = HttpServer::FrontEnd::kEpoll;
   options.num_threads = 4;
   auto server = StartServer(options);
 
@@ -427,7 +406,6 @@ TEST(EpollDeadlineTest, KeepAliveTrafficHoldsOneDeadlineEntry) {
   // serves; the connection outlives its first deadline while it stays
   // busy, and is reaped about one timeout after it goes quiet.
   HttpServer::Options options;
-  options.front_end = HttpServer::FrontEnd::kEpoll;
   options.num_threads = 2;
   options.io_timeout_seconds = 1;
   auto server = StartServer(options);
@@ -462,41 +440,58 @@ TEST(EpollDeadlineTest, KeepAliveTrafficHoldsOneDeadlineEntry) {
 }
 
 TEST(FrontEndParityTest, ByteIdenticalResponsesAcrossFrontEnds) {
-  // Same wire input, byte-identical wire output: the threaded front end
-  // is the oracle for the event loop. Every request either negotiates
-  // close or provokes an error close so EOF frames the comparison.
-  HttpServer::Options epoll_options;
-  epoll_options.front_end = HttpServer::FrontEnd::kEpoll;
-  auto epoll_server = StartServer(epoll_options);
-  HttpServer::Options threaded_options;
-  threaded_options.front_end = HttpServer::FrontEnd::kThreaded;
-  auto threaded_server = StartServer(threaded_options);
-
-  const std::string wires[] = {
-      "GET /ping HTTP/1.1\r\nConnection: close\r\n\r\n",
-      "POST /echo HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n"
-      "\r\nhello",
-      "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
-      "POST /ping HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n"
-      "\r\n",
-      "GET /ping HTTP/1.0\r\n\r\n",
-      "GET /ping HTTP/1.0\r\nConnection: keep-alive, close\r\n\r\n",
-      "BOGUS\r\n\r\n",
-      "POST /echo HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
-      "GET /ping HTTP/999\r\n\r\n",
+  // Same wire input, byte-identical wire output. The expected bytes are
+  // those of the retired blocking thread-per-connection front end, which
+  // agreed with the event loop byte for byte on every one of these wires.
+  // Every request either negotiates close or provokes an error close so
+  // EOF frames the comparison.
+  struct Case {
+    const char* wire;
+    const char* response;
   };
-  for (const std::string& wire : wires) {
-    RawClient against_epoll(epoll_server->port());
-    RawClient against_threaded(threaded_server->port());
-    ASSERT_TRUE(against_epoll.ok());
-    ASSERT_TRUE(against_threaded.ok());
-    ASSERT_TRUE(against_epoll.Send(wire));
-    ASSERT_TRUE(against_threaded.Send(wire));
-    EXPECT_EQ(against_epoll.ReadUntilEof(), against_threaded.ReadUntilEof())
-        << "front ends disagree on: " << wire.substr(0, 40);
+  const Case cases[] = {
+      {"GET /ping HTTP/1.1\r\nConnection: close\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n"
+       "Connection: close\r\n\r\npong\n"},
+      {"POST /echo HTTP/1.1\r\nContent-Length: 5\r\nConnection: close\r\n"
+       "\r\nhello",
+       "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n"
+       "Connection: close\r\n\r\nhello"},
+      {"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+       "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\n"
+       "Content-Length: 17\r\nConnection: close\r\n\r\nno such endpoint\n"},
+      {"POST /ping HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n"
+       "\r\n",
+       "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: text/plain\r\n"
+       "Content-Length: 19\r\nAllow: GET\r\nConnection: close\r\n\r\n"
+       "method not allowed\n"},
+      {"GET /ping HTTP/1.0\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n"
+       "Connection: close\r\n\r\npong\n"},
+      {"GET /ping HTTP/1.0\r\nConnection: keep-alive, close\r\n\r\n",
+       "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 5\r\n"
+       "Connection: close\r\n\r\npong\n"},
+      {"BOGUS\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\n"
+       "Content-Length: 23\r\nConnection: close\r\n\r\n"
+       "malformed request line\n"},
+      {"POST /echo HTTP/1.1\r\nContent-Length: nan\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\n"
+       "Content-Length: 19\r\nConnection: close\r\n\r\nbad Content-Length\n"},
+      {"GET /ping HTTP/999\r\n\r\n",
+       "HTTP/1.1 400 Bad Request\r\nContent-Type: text/plain\r\n"
+       "Content-Length: 23\r\nConnection: close\r\n\r\n"
+       "malformed HTTP version\n"},
+  };
+  auto server = StartServer();
+  for (const Case& c : cases) {
+    RawClient client(server->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.Send(c.wire));
+    EXPECT_EQ(client.ReadUntilEof(), c.response)
+        << "response differs on: " << std::string(c.wire).substr(0, 40);
   }
-  epoll_server->Stop();
-  threaded_server->Stop();
+  server->Stop();
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 // In-process end-to-end test of the HTTP serving surface: a real
 // InferenceService on an ephemeral loopback port, exercised through the
-// real HttpClientConnection -- actual sockets, actual wire format. The
-// whole suite runs twice, once per HTTP front end (epoll event loop and
-// threaded pool), which keeps the two serving paths behaviorally
-// interchangeable at the service level.
+// real HttpClientConnection -- actual sockets, actual wire format.
 
 #include <gtest/gtest.h>
 
@@ -64,7 +61,7 @@ DecisionTree LeafTree(ClassLabel label) {
   return tree;
 }
 
-class ServeHttpTest : public testing::TestWithParam<HttpServer::FrontEnd> {
+class ServeHttpTest : public testing::Test {
  protected:
   void SetUp() override {
     auto store = ModelStore::Create(CarTree());
@@ -73,7 +70,6 @@ class ServeHttpTest : public testing::TestWithParam<HttpServer::FrontEnd> {
     options.engine.num_workers = 2;
     options.http.port = 0;  // ephemeral
     options.http.num_threads = 2;
-    options.http.front_end = GetParam();
     service_ = std::make_unique<InferenceService>(std::move(*store), options);
     ASSERT_TRUE(service_->Start().ok());
     client_ = std::make_unique<HttpClientConnection>("127.0.0.1",
@@ -96,7 +92,7 @@ class ServeHttpTest : public testing::TestWithParam<HttpServer::FrontEnd> {
   std::unique_ptr<HttpClientConnection> client_;
 };
 
-TEST_P(ServeHttpTest, PredictMatchesTreeClassify) {
+TEST_F(ServeHttpTest, PredictMatchesTreeClassify) {
   const HttpClientResponse response = Call(
       "POST", "/v1/predict",
       R"({"tuples": [[20, "sedan"], [40, "sports"], [40, 0], [null, "sedan"]]})");
@@ -124,7 +120,7 @@ TEST_P(ServeHttpTest, PredictMatchesTreeClassify) {
   }
 }
 
-TEST_P(ServeHttpTest, PredictRejectsBadRequests) {
+TEST_F(ServeHttpTest, PredictRejectsBadRequests) {
   EXPECT_EQ(Call("POST", "/v1/predict", "{not json").status, 400);
   EXPECT_EQ(Call("POST", "/v1/predict", R"({"rows": []})").status, 400);
   EXPECT_EQ(Call("POST", "/v1/predict", R"({"tuples": []})").status, 400);
@@ -147,13 +143,13 @@ TEST_P(ServeHttpTest, PredictRejectsBadRequests) {
   }
 }
 
-TEST_P(ServeHttpTest, RoutingErrors) {
+TEST_F(ServeHttpTest, RoutingErrors) {
   EXPECT_EQ(Call("GET", "/v1/nope").status, 404);
   EXPECT_EQ(Call("GET", "/v1/predict").status, 405);  // POST-only path
   EXPECT_EQ(Call("POST", "/healthz", "{}").status, 405);
 }
 
-TEST_P(ServeHttpTest, HealthzReportsEpoch) {
+TEST_F(ServeHttpTest, HealthzReportsEpoch) {
   const HttpClientResponse response = Call("GET", "/healthz");
   ASSERT_EQ(response.status, 200);
   auto doc = ParseJson(response.body);
@@ -162,11 +158,8 @@ TEST_P(ServeHttpTest, HealthzReportsEpoch) {
   EXPECT_EQ(doc->Find("epoch")->number_value(), 1.0);
 }
 
-TEST_P(ServeHttpTest, ReloadSwapsModelAndBumpsEpoch) {
-  // One file per front end: ctest runs both instances in parallel.
-  const std::string path =
-      testing::TempDir() + "/http_reload_" +
-      std::to_string(static_cast<int>(GetParam())) + ".tree";
+TEST_F(ServeHttpTest, ReloadSwapsModelAndBumpsEpoch) {
+  const std::string path = testing::TempDir() + "/http_reload.tree";
   {
     std::ofstream out(path);
     out << SerializeTree(LeafTree(0));  // everything classifies "high"
@@ -189,7 +182,7 @@ TEST_P(ServeHttpTest, ReloadSwapsModelAndBumpsEpoch) {
   EXPECT_EQ(pdoc->Find("labels")->array_items()[0].string_value(), "high");
 }
 
-TEST_P(ServeHttpTest, ReloadFailureKeepsServing) {
+TEST_F(ServeHttpTest, ReloadFailureKeepsServing) {
   EXPECT_EQ(Call("POST", "/v1/reload",
                  R"({"model": "/nonexistent/model.tree"})")
                 .status,
@@ -202,7 +195,7 @@ TEST_P(ServeHttpTest, ReloadFailureKeepsServing) {
   EXPECT_EQ(ParseJson(predict.body)->Find("epoch")->number_value(), 1.0);
 }
 
-TEST_P(ServeHttpTest, StatzCountsTraffic) {
+TEST_F(ServeHttpTest, StatzCountsTraffic) {
   for (int i = 0; i < 3; ++i) {
     ASSERT_EQ(
         Call("POST", "/v1/predict", R"({"tuples": [[20, 0], [40, 1]]})")
@@ -219,33 +212,22 @@ TEST_P(ServeHttpTest, StatzCountsTraffic) {
   EXPECT_EQ(doc->Find("workers")->number_value(), 2.0);
   ASSERT_NE(doc->Find("latency"), nullptr);
   EXPECT_GE(doc->Find("latency")->Find("p99_ms")->number_value(), 0.0);
-  // Connection-path counters from whichever front end is serving.
+  // Connection-path counters of the front end.
   const JsonValue* http = doc->Find("http");
   ASSERT_NE(http, nullptr) << response.body;
-  EXPECT_EQ(http->Find("front_end")->string_value(),
-            GetParam() == HttpServer::FrontEnd::kEpoll ? "epoll"
-                                                       : "threaded");
+  EXPECT_EQ(http->Find("front_end")->string_value(), "epoll");
   EXPECT_GE(http->Find("accepted")->number_value(), 1.0);
   EXPECT_GE(http->Find("requests")->number_value(), 4.0);
   EXPECT_EQ(http->Find("open_connections")->number_value(), 1.0);
   EXPECT_EQ(http->Find("protocol_errors")->number_value(), 0.0);
 }
 
-TEST_P(ServeHttpTest, KeepAliveServesSequentialRequests) {
+TEST_F(ServeHttpTest, KeepAliveServesSequentialRequests) {
   // Same connection, many requests -- exercises the keep-alive loop.
   for (int i = 0; i < 10; ++i) {
     ASSERT_EQ(Call("GET", "/healthz").status, 200);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothFrontEnds, ServeHttpTest,
-    testing::Values(HttpServer::FrontEnd::kEpoll,
-                    HttpServer::FrontEnd::kThreaded),
-    [](const testing::TestParamInfo<HttpServer::FrontEnd>& info) {
-      return info.param == HttpServer::FrontEnd::kEpoll ? "Epoll"
-                                                        : "Threaded";
-    });
 
 TEST(ServeHttpReloadDisabledTest, ReloadAnswers403) {
   auto store = ModelStore::Create(CarTree());

@@ -429,16 +429,13 @@ def convert_infer(raw, output):
 def convert_serve(raw, output):
     """Passes the open-loop connection-scaling rows through (rounded) and
     derives the headline claim EXPERIMENTS.md quotes: the largest
-    connection count the epoll front end served with zero errors and zero
-    drops, and its ratio to the dispatch-thread count. An epoll row at
-    <= dispatch_threads connections proves nothing about the event loop,
-    so the derived ratio only counts rows past the thread count."""
+    connection count the front end served with zero errors and zero
+    drops, and its ratio to the dispatch-thread count."""
     runs = []
     errors = []
     for run in raw.get("runs", []):
         try:
             runs.append({
-                "front_end": run["front_end"],
                 "connections": run["connections"],
                 "dispatch_threads": run["dispatch_threads"],
                 "offered_rps": round(run["offered_rps"], 1),
@@ -453,20 +450,18 @@ def convert_serve(raw, output):
             })
         except KeyError as e:
             errors.append(
-                f"run {run.get('front_end', '?')}/"
-                f"C{run.get('connections', '?')}: missing {e}")
+                f"run C{run.get('connections', '?')}: missing {e}")
 
     derived = None
     if runs:
         threads = runs[0]["dispatch_threads"]
         clean = [r["connections"] for r in runs
-                 if r["front_end"] == "epoll" and r["errors"] == 0
-                 and r["dropped"] == 0]
+                 if r["errors"] == 0 and r["dropped"] == 0]
         max_clean = max(clean, default=0)
         derived = {
             "dispatch_threads": threads,
-            "epoll_max_clean_connections": max_clean,
-            "epoll_connections_per_thread":
+            "max_clean_connections": max_clean,
+            "connections_per_thread":
                 round(max_clean / threads, 2) if threads else None,
         }
 
@@ -596,7 +591,7 @@ VALIDATE_SCHEMAS = {
     ),
     "serve_scaling": (
         ["schema_version", "suite", "context", "runs", "derived"],
-        [("runs", ["front_end", "connections", "dispatch_threads",
+        [("runs", ["connections", "dispatch_threads",
                    "offered_rps", "batch", "sent", "dropped", "timeouts",
                    "errors", "tuples_per_second", "p50_ms", "p99_ms"])],
     ),

@@ -2,13 +2,11 @@
 //
 //   smptree_serve --schema schema.txt --model model.tree
 //                 [--port 8080] [--address 127.0.0.1] [--workers 0]
-//                 [--http-threads 4] [--queue 128] [--no-reload]
-//                 [--front-end epoll|threaded] [--build-stats stats.json]
+//                 [--http-threads 4] [--no-reload] [--build-stats stats.json]
 //
-// --front-end picks the connection path: "epoll" (default) multiplexes
-// every connection over one event loop with --http-threads dispatch
-// workers; "threaded" is the legacy blocking pool where --http-threads
-// also caps live connections (kept as the parity oracle).
+// One event loop multiplexes every connection; --http-threads dispatch
+// threads run the handlers, and each scores its batch itself on one of
+// --workers scoring slots (0 = one per hardware thread).
 //
 // Endpoints (see docs/SERVING.md): POST /v1/predict, POST /v1/reload,
 // GET /healthz, GET /statz. Prints "listening on <port>" once ready (port 0
@@ -52,8 +50,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: smptree_serve --schema F --model F [--port N]\n"
                "         [--address A] [--workers N] [--http-threads N]\n"
-               "         [--queue N] [--no-reload] [--build-stats F.json]\n"
-               "         [--front-end epoll|threaded]\n");
+               "         [--no-reload] [--build-stats F.json]\n");
   return 1;
 }
 
@@ -88,11 +85,10 @@ int Main(int argc, char** argv) {
   const std::string model_path = get("model");
   if (schema_path.empty() || model_path.empty()) return Usage();
 
-  int64_t port = 0, workers = 0, http_threads = 4, queue = 128;
+  int64_t port = 0, workers = 0, http_threads = 4;
   if (!get_int("port", 8080, &port) || port < 0 || port > 65535 ||
       !get_int("workers", 0, &workers) ||
-      !get_int("http-threads", 4, &http_threads) || http_threads < 1 ||
-      !get_int("queue", 128, &queue) || queue < 1) {
+      !get_int("http-threads", 4, &http_threads) || http_threads < 1) {
     return Fail("bad numeric flag");
   }
 
@@ -101,18 +97,9 @@ int Main(int argc, char** argv) {
 
   ServiceOptions options;
   options.engine.num_workers = static_cast<int>(workers);
-  options.engine.queue_capacity = static_cast<size_t>(queue);
   options.http.bind_address = get("address", "127.0.0.1");
   options.http.port = static_cast<uint16_t>(port);
   options.http.num_threads = static_cast<int>(http_threads);
-  const std::string front_end = get("front-end", "epoll");
-  if (front_end == "epoll") {
-    options.http.front_end = HttpServer::FrontEnd::kEpoll;
-  } else if (front_end == "threaded") {
-    options.http.front_end = HttpServer::FrontEnd::kThreaded;
-  } else {
-    return Fail("bad --front-end (want epoll or threaded): " + front_end);
-  }
   options.allow_reload = get("no-reload").empty();
 
   // Training-run BuildStats to embed in /statz ("build" section). Validate
@@ -139,11 +126,11 @@ int Main(int argc, char** argv) {
   const ServingModelPtr model = service.store().Current();
   std::printf(
       "smptree_serve: %s model %s (epoch %lld, %d trees, %lld nodes, "
-      "%d workers, %s front end)\n",
+      "%d scoring slots)\n",
       model->kind_name(), model->source.c_str(),
       static_cast<long long>(model->epoch), model->num_trees(),
       static_cast<long long>(model->total_nodes()),
-      service.engine().num_workers(), front_end.c_str());
+      service.engine().num_workers());
   std::printf("listening on %u\n", static_cast<unsigned>(service.port()));
   std::fflush(stdout);
 
