@@ -77,71 +77,6 @@ Status VerifyLeafBins(const Quantizer& quantizer, const BinnedLeaf& leaf) {
   return Status::OK();
 }
 
-/// E for one (leaf, attr): sweeps the attribute's bin rows exactly like
-/// ReferenceEvaluateContinuousAttr sweeps records -- same Add/Remove
-/// accumulation, same SplitImpurityWithTotals call, same BetterThan tie
-/// rule -- so where cuts coincide with exact candidate points the impurities
-/// agree bit-for-bit. Returns the boundaries examined (the bins_scanned
-/// unit).
-uint64_t EvaluateBinnedLeafAttr(const Quantizer& quantizer,
-                                const BinnedLeaf& leaf, int attr,
-                                const GiniOptions& gini, GiniScratch* scratch,
-                                SplitCandidate* out, int* out_bin) {
-  const int off = quantizer.offset(attr);
-  const int nbins = quantizer.num_bins(attr);
-  const int num_classes = leaf.hist.num_classes();
-  *out = SplitCandidate();
-  *out_bin = -1;
-
-  if (quantizer.categorical(attr)) {
-    CountMatrix& matrix = scratch->matrix;
-    matrix.Reset(nbins, num_classes);
-    for (int b = 0; b < nbins; ++b) {
-      const std::span<const int64_t> row = leaf.bins.row(off + b);
-      for (int c = 0; c < num_classes; ++c) {
-        if (row[c] != 0) matrix.AddCount(b, c, row[c]);
-      }
-    }
-    *out = EvaluateCategoricalFromMatrix(attr, matrix, leaf.hist, gini,
-                                         scratch);
-    return static_cast<uint64_t>(nbins);
-  }
-
-  ClassHistogram& below = scratch->below;
-  ClassHistogram& above = scratch->above;
-  below.Reset(num_classes);
-  above = leaf.hist;
-  const int64_t n_total = leaf.count;
-  int64_t nl = 0;
-  SplitCandidate best;
-  int best_bin = -1;
-  for (int b = 0; b + 1 < nbins; ++b) {
-    const std::span<const int64_t> row = leaf.bins.row(off + b);
-    for (int c = 0; c < num_classes; ++c) {
-      if (row[c] == 0) continue;
-      below.Add(static_cast<ClassLabel>(c), row[c]);
-      above.Remove(static_cast<ClassLabel>(c), row[c]);
-      nl += row[c];
-    }
-    if (nl == 0) continue;      // no records left of this cut yet
-    if (nl == n_total) break;   // all records left: no proper split remains
-    SplitCandidate candidate;
-    candidate.test.attr = attr;
-    candidate.test.threshold = quantizer.cut(attr, b);
-    candidate.gini =
-        SplitImpurityWithTotals(below, above, nl, n_total - nl, gini.criterion);
-    candidate.left_count = nl;
-    candidate.right_count = n_total - nl;
-    if (candidate.BetterThan(best)) {
-      best = candidate;
-      best_bin = b;
-    }
-  }
-  *out = best;
-  *out_bin = best_bin;
-  return nbins > 0 ? static_cast<uint64_t>(nbins - 1) : 0;
-}
-
 }  // namespace
 
 Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
@@ -164,10 +99,9 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
   for (ClassLabel l : data.labels()) root_hist.Add(l);
   tree->CreateRoot(root_hist);
 
-  const bool root_splittable =
-      !root_hist.IsPure() && n >= options.min_split &&
-      (options.max_levels == 0 || options.max_levels > 1);
-  if (!root_splittable) return Status::OK();
+  if (FinalizedAsLeaf(root_hist, 0, options.min_split, options.max_levels)) {
+    return Status::OK();
+  }
 
   // ---- level state, owned by the master between barriers ----------------
   // Everything below follows the BASIC builder's phase contract: the worker
@@ -366,9 +300,9 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
             leaf.candidate_bins[static_cast<size_t>(attr)] = -1;
             continue;
           }
-          scanned += EvaluateBinnedLeafAttr(
-              quantizer, leaf, attr, options.gini, &scratch,
-              &leaf.candidates[static_cast<size_t>(attr)],
+          scanned += EvaluateBinnedAttr(
+              quantizer, leaf.bins, leaf.hist, leaf.count, attr, options.gini,
+              &scratch, &leaf.candidates[static_cast<size_t>(attr)],
               &leaf.candidate_bins[static_cast<size_t>(attr)]);
           counters->attr_tasks.fetch_add(1, std::memory_order_relaxed);
         }
@@ -402,30 +336,12 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
           tree->SetSplit(leaf.node, best.test);
 
           ClassHistogram child_hist[2];
-          child_hist[0].Reset(num_classes);
-          const int off = quantizer.offset(best.test.attr);
-          const int nbins = quantizer.num_bins(best.test.attr);
-          for (int bb = 0; bb < nbins; ++bb) {
-            const bool left = best.test.categorical
-                                  ? best.test.SubsetContains(bb)
-                                  : bb <= leaf.winner_bin;
-            if (!left) continue;
-            const std::span<const int64_t> row = leaf.bins.row(off + bb);
-            for (int c = 0; c < num_classes; ++c) {
-              child_hist[0].Add(static_cast<ClassLabel>(c), row[c]);
-            }
-          }
-          child_hist[1] = leaf.hist;
-          child_hist[1].Subtract(child_hist[0]);
-          if (child_hist[0].Total() != best.left_count ||
-              child_hist[1].Total() != best.right_count) {
-            sink.Record(Status::Corruption(StringPrintf(
-                "winner split of node %d covers %lld/%lld records, expected "
-                "%lld/%lld",
-                leaf.node, static_cast<long long>(child_hist[0].Total()),
-                static_cast<long long>(child_hist[1].Total()),
-                static_cast<long long>(best.left_count),
-                static_cast<long long>(best.right_count))));
+          Status partitioned =
+              PartitionBinnedSplit(quantizer, leaf.bins, leaf.hist, best,
+                                   leaf.winner_bin, &child_hist[0],
+                                   &child_hist[1]);
+          if (!partitioned.ok()) {
+            sink.Record(std::move(partitioned));
             break;
           }
 
@@ -434,12 +350,8 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
           for (int side = 0; side < 2; ++side) {
             const ClassHistogram& h = child_hist[side];
             leaf.child_node[side] = tree->AddChild(leaf.node, side == 0, h);
-            // Purity pre-test, same rule as the sorted engine's RunW.
-            const bool finalized =
-                h.IsPure() || h.Total() < options.min_split ||
-                (options.max_levels > 0 &&
-                 child_depth >= options.max_levels - 1);
-            active[side] = !finalized;
+            active[side] = !FinalizedAsLeaf(h, child_depth, options.min_split,
+                                            options.max_levels);
           }
           int idx[2] = {-1, -1};
           for (int side = 0; side < 2; ++side) {

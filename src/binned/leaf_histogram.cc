@@ -49,4 +49,95 @@ Status LeafHistogram::Subtract(const LeafHistogram& other) {
   return Status::OK();
 }
 
+uint64_t EvaluateBinnedAttr(const Quantizer& quantizer,
+                            const LeafHistogram& bins,
+                            const ClassHistogram& hist, int64_t n_total,
+                            int attr, const GiniOptions& gini,
+                            GiniScratch* scratch, SplitCandidate* out,
+                            int* out_bin) {
+  const int off = quantizer.offset(attr);
+  const int nbins = quantizer.num_bins(attr);
+  const int num_classes = hist.num_classes();
+  *out = SplitCandidate();
+  *out_bin = -1;
+
+  if (quantizer.categorical(attr)) {
+    CountMatrix& matrix = scratch->matrix;
+    matrix.Reset(nbins, num_classes);
+    for (int b = 0; b < nbins; ++b) {
+      const std::span<const int64_t> row = bins.row(off + b);
+      for (int c = 0; c < num_classes; ++c) {
+        if (row[c] != 0) matrix.AddCount(b, c, row[c]);
+      }
+    }
+    *out = EvaluateCategoricalFromMatrix(attr, matrix, hist, gini, scratch);
+    return static_cast<uint64_t>(nbins);
+  }
+
+  ClassHistogram& below = scratch->below;
+  ClassHistogram& above = scratch->above;
+  below.Reset(num_classes);
+  above = hist;
+  int64_t nl = 0;
+  SplitCandidate best;
+  int best_bin = -1;
+  for (int b = 0; b + 1 < nbins; ++b) {
+    const std::span<const int64_t> row = bins.row(off + b);
+    for (int c = 0; c < num_classes; ++c) {
+      if (row[c] == 0) continue;
+      below.Add(static_cast<ClassLabel>(c), row[c]);
+      above.Remove(static_cast<ClassLabel>(c), row[c]);
+      nl += row[c];
+    }
+    if (nl == 0) continue;      // no records left of this cut yet
+    if (nl == n_total) break;   // all records left: no proper split remains
+    SplitCandidate candidate;
+    candidate.test.attr = attr;
+    candidate.test.threshold = quantizer.cut(attr, b);
+    candidate.gini =
+        SplitImpurityWithTotals(below, above, nl, n_total - nl, gini.criterion);
+    candidate.left_count = nl;
+    candidate.right_count = n_total - nl;
+    if (candidate.BetterThan(best)) {
+      best = candidate;
+      best_bin = b;
+    }
+  }
+  *out = best;
+  *out_bin = best_bin;
+  return nbins > 0 ? static_cast<uint64_t>(nbins - 1) : 0;
+}
+
+Status PartitionBinnedSplit(const Quantizer& quantizer,
+                            const LeafHistogram& bins,
+                            const ClassHistogram& hist,
+                            const SplitCandidate& best, int best_bin,
+                            ClassHistogram* left, ClassHistogram* right) {
+  const int num_classes = hist.num_classes();
+  const int off = quantizer.offset(best.test.attr);
+  const int nbins = quantizer.num_bins(best.test.attr);
+  left->Reset(num_classes);
+  for (int b = 0; b < nbins; ++b) {
+    const bool goes_left = best.test.categorical
+                               ? best.test.SubsetContains(b)
+                               : b <= best_bin;
+    if (!goes_left) continue;
+    const std::span<const int64_t> row = bins.row(off + b);
+    for (int c = 0; c < num_classes; ++c) {
+      left->Add(static_cast<ClassLabel>(c), row[c]);
+    }
+  }
+  *right = hist;
+  right->Subtract(*left);
+  if (left->Total() != best.left_count || right->Total() != best.right_count) {
+    return Status::Corruption(StringPrintf(
+        "split on attribute %d covers %lld/%lld tuples, expected %lld/%lld",
+        best.test.attr, static_cast<long long>(left->Total()),
+        static_cast<long long>(right->Total()),
+        static_cast<long long>(best.left_count),
+        static_cast<long long>(best.right_count)));
+  }
+  return Status::OK();
+}
+
 }  // namespace smptree

@@ -1,7 +1,9 @@
 #include "binned/quantizer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <utility>
 
 #include "core/gini.h"
 #include "util/string_util.h"
@@ -56,17 +58,33 @@ std::vector<float> ContinuousCuts(std::vector<float>* values, int max_bins) {
 
 }  // namespace
 
+Quantizer Quantizer::FromCuts(const Schema& schema,
+                              std::vector<std::vector<float>> cuts) {
+  assert(static_cast<int>(cuts.size()) == schema.num_attrs());
+  Quantizer q;
+  q.attrs_.resize(cuts.size());
+  for (size_t a = 0; a < cuts.size(); ++a) {
+    AttrBins& bins = q.attrs_[a];
+    const AttrInfo& info = schema.attr(static_cast<int>(a));
+    bins.categorical = info.is_categorical();
+    bins.cuts = std::move(cuts[a]);
+    bins.num_bins = bins.categorical
+                        ? info.cardinality
+                        : static_cast<int>(bins.cuts.size()) + 1;
+    bins.offset = q.total_bins_;
+    q.total_bins_ += bins.num_bins;
+  }
+  return q;
+}
+
 Status Quantizer::Build(const Dataset& data, int max_bins) {
   if (max_bins < 2 || max_bins > 256) {
     return Status::InvalidArgument("max_bins outside [2,256]");
   }
   const int num_attrs = data.num_attrs();
-  attrs_.assign(static_cast<size_t>(num_attrs), AttrBins());
-  total_bins_ = 0;
-
+  std::vector<std::vector<float>> cuts(static_cast<size_t>(num_attrs));
   std::vector<float> scratch;
   for (int a = 0; a < num_attrs; ++a) {
-    AttrBins& bins = attrs_[static_cast<size_t>(a)];
     const AttrInfo& info = data.schema().attr(a);
     if (info.is_categorical()) {
       if (info.cardinality > max_bins) {
@@ -75,18 +93,14 @@ Status Quantizer::Build(const Dataset& data, int max_bins) {
             "max_bins %d",
             info.name.c_str(), info.cardinality, max_bins));
       }
-      bins.categorical = true;
-      bins.num_bins = info.cardinality;
-    } else {
-      const std::span<const AttrValue> column = data.column(a);
-      scratch.resize(column.size());
-      for (size_t i = 0; i < column.size(); ++i) scratch[i] = column[i].f;
-      bins.cuts = ContinuousCuts(&scratch, max_bins);
-      bins.num_bins = static_cast<int>(bins.cuts.size()) + 1;
+      continue;
     }
-    bins.offset = total_bins_;
-    total_bins_ += bins.num_bins;
+    const std::span<const AttrValue> column = data.column(a);
+    scratch.resize(column.size());
+    for (size_t i = 0; i < column.size(); ++i) scratch[i] = column[i].f;
+    cuts[static_cast<size_t>(a)] = ContinuousCuts(&scratch, max_bins);
   }
+  *this = FromCuts(data.schema(), std::move(cuts));
   return Status::OK();
 }
 

@@ -30,20 +30,32 @@
 
 #include "core/records.h"
 #include "data/dataset.h"
+#include "data/schema.h"
 #include "util/status.h"
 
 namespace smptree {
 
-/// Per-attribute bin boundaries, computed once per training set.
-/// Deterministic given the data: cut placement uses only sorted value order,
-/// never hashing or sampling.
+/// Per-attribute bin boundaries and the flat histogram layout they imply.
+/// The batch engine computes its cuts from the training set (Build); the
+/// streaming builder computes them from a reservoir sample and hands them
+/// to FromCuts, so both trainers share one layout and one bin mapping.
 class Quantizer {
  public:
+  /// Lays out bins for `schema` from per-attribute cut points: continuous
+  /// attribute a gets `cuts[a]` and cuts[a].size()+1 bins; a categorical
+  /// attribute gets one bin per value code. Offsets tile the flat histogram
+  /// in attribute order. The caller guarantees one cut list per attribute,
+  /// each strictly ascending with at most 255 cuts (empty for categorical),
+  /// and categorical cardinalities of at most 256.
+  static Quantizer FromCuts(const Schema& schema,
+                            std::vector<std::vector<float>> cuts);
+
   /// Computes boundaries from `data`. `max_bins` must be in [2, 256] (bins
   /// are uint8_t codes); categorical cardinalities must fit the budget.
   /// Continuous attributes get quantile-spaced cuts advanced to real value
   /// boundaries, or exact adjacent-distinct midpoints when the attribute has
-  /// at most max_bins distinct values.
+  /// at most max_bins distinct values. Deterministic given the data: cut
+  /// placement uses only sorted value order, never hashing or sampling.
   Status Build(const Dataset& data, int max_bins);
 
   int num_attrs() const { return static_cast<int>(attrs_.size()); }

@@ -100,6 +100,12 @@ Status BuildOptions::Validate() const {
   return Status::OK();
 }
 
+bool FinalizedAsLeaf(const ClassHistogram& hist, int depth, int64_t min_split,
+                     int max_levels) {
+  return hist.IsPure() || hist.Total() < min_split ||
+         (max_levels > 0 && depth >= max_levels - 1);
+}
+
 std::string MakeScratchDir(Env* env, const std::string& requested) {
   static std::atomic<uint64_t> counter{0};
   // Relaxed RMW: the counter only allocates unique suffixes; it publishes
@@ -183,11 +189,8 @@ Status BuildContext::InitRoot(AttributeLists lists,
   levels_built_ = 1;
 
   level->clear();
-  const bool root_splittable = !root_hist.IsPure() &&
-                               n >= options_.min_split &&
-                               (options_.max_levels == 0 ||
-                                options_.max_levels > 1);
-  if (root_splittable) {
+  if (!FinalizedAsLeaf(root_hist, 0, options_.min_split,
+                       options_.max_levels)) {
     LeafTask root;
     root.node = tree_->root();
     root.seg = Segment{0, 0, static_cast<uint64_t>(n)};
@@ -280,13 +283,10 @@ Status BuildContext::RunW(LeafTask* leaf, LevelStorage* storage) {
   for (int side = 0; side < 2; ++side) {
     const ClassHistogram& h = leaf->child_hist[side];
     leaf->child_node[side] = tree_->AddChild(leaf->node, side == 0, h);
-    // Purity pre-test (paper section 3.2.2): pure children -- and children
-    // too small or too deep to split -- are finalized now and never get
-    // slot files, keeping the K-slot schedule hole-free after relabelling.
-    const bool finalized =
-        h.IsPure() || h.Total() < options_.min_split ||
-        (options_.max_levels > 0 && child_depth >= options_.max_levels - 1);
-    leaf->child_active[side] = !finalized;
+    // Finalized children never get slot files, keeping the K-slot
+    // schedule hole-free after relabelling.
+    leaf->child_active[side] = !FinalizedAsLeaf(
+        h, child_depth, options_.min_split, options_.max_levels);
   }
   return Status::OK();
 }

@@ -154,6 +154,14 @@ struct BuildOptions {
   Status Validate() const;
 };
 
+/// Purity pre-test (paper section 3.2.2), the one rule every batch builder
+/// applies to a new node: a node at `depth` holding `hist` is finalized as
+/// a leaf, never evaluated for a split, when it is pure, holds fewer than
+/// `min_split` tuples, or sits on the last level `max_levels` allows
+/// (0 = unlimited).
+bool FinalizedAsLeaf(const ClassHistogram& hist, int depth, int64_t min_split,
+                     int max_levels);
+
 /// Per-leaf state for the current tree level.
 struct LeafTask {
   NodeId node = kInvalidNode;

@@ -32,10 +32,10 @@ bool ClassHistogram::IsPure() const {
   return true;
 }
 
-ClassLabel ClassHistogram::Majority() const {
-  int best = 0;
-  for (int c = 1; c < num_classes(); ++c) {
-    if (counts_[c] > counts_[best]) best = c;
+ClassLabel MajorityLabel(std::span<const int64_t> counts) {
+  size_t best = 0;
+  for (size_t c = 1; c < counts.size(); ++c) {
+    if (counts[c] > counts[best]) best = c;
   }
   return static_cast<ClassLabel>(best);
 }

@@ -15,6 +15,11 @@
 
 namespace smptree {
 
+/// Label with the highest count in `counts` (lowest label wins ties; 0 when
+/// empty). The one majority rule: ClassHistogram::Majority and the
+/// streaming builder's per-tuple leaf update both use it.
+ClassLabel MajorityLabel(std::span<const int64_t> counts);
+
 /// Per-class tuple counts.
 class ClassHistogram {
  public:
@@ -40,7 +45,7 @@ class ClassHistogram {
   bool IsPure() const;
 
   /// Label with the highest count (lowest label wins ties).
-  ClassLabel Majority() const;
+  ClassLabel Majority() const { return MajorityLabel(counts_); }
 
   /// Tuples not belonging to the majority class.
   int64_t ErrorCount() const;

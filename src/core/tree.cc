@@ -60,14 +60,6 @@ NodeId DecisionTree::Append(TreeNode node) {
   return static_cast<NodeId>(id);
 }
 
-void DecisionTree::ResetArena() {
-  for (auto& chunk : *chunks_) {
-    chunk.store(nullptr, std::memory_order_relaxed);
-  }
-  owned_chunks_.clear();
-  size_.store(0, std::memory_order_relaxed);
-}
-
 NodeId DecisionTree::CreateRoot(const ClassHistogram& counts) {
   MutexLock lock(*grow_mutex_);
   assert(num_nodes() == 0);
@@ -109,28 +101,37 @@ void DecisionTree::MakeLeaf(NodeId node) {
 
 void DecisionTree::CompactAfterPrune() {
   if (num_nodes() == 0) return;
-  // Collect reachable nodes in preorder, then rebuild the arena.
+  *this = Clone();
+}
+
+DecisionTree DecisionTree::Clone() const {
+  DecisionTree copy(schema_);
+  if (num_nodes() == 0) return copy;
+  // Collect reachable nodes in preorder, then fill the copy's arena.
   std::vector<TreeNode> kept;
   kept.reserve(static_cast<size_t>(num_nodes()));
-  std::function<NodeId(NodeId, NodeId)> copy = [&](NodeId id,
-                                                   NodeId new_parent) {
+  std::function<NodeId(NodeId, NodeId)> visit = [&](NodeId id,
+                                                    NodeId new_parent) {
     const TreeNode& source = node(id);
     const NodeId new_id = static_cast<NodeId>(kept.size());
     kept.push_back(source);
     kept[new_id].parent = new_parent;
     if (!source.is_leaf()) {
-      const NodeId left = copy(source.left, new_id);
-      const NodeId right = copy(source.right, new_id);
+      const NodeId left = visit(source.left, new_id);
+      const NodeId right = visit(source.right, new_id);
       kept[new_id].left = left;
       kept[new_id].right = right;
     }
     return new_id;
   };
-  copy(0, kInvalidNode);
+  visit(0, kInvalidNode);
+  copy.AppendAll(std::move(kept));
+  return copy;
+}
 
+void DecisionTree::AppendAll(std::vector<TreeNode> nodes) {
   MutexLock lock(*grow_mutex_);
-  ResetArena();
-  for (TreeNode& n : kept) Append(std::move(n));
+  for (TreeNode& n : nodes) Append(std::move(n));
 }
 
 ClassLabel DecisionTree::Classify(const TupleValues& values) const {

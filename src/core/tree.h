@@ -106,6 +106,11 @@ class DecisionTree {
   /// Rebuilds the arena keeping only reachable nodes (after pruning).
   void CompactAfterPrune();
 
+  /// Independent copy of the reachable nodes, renumbered in preorder (the
+  /// order SerializeTree emits) with every field copied as is. Must not run
+  /// concurrently with AddChild.
+  DecisionTree Clone() const;
+
   /// Lock-free node access (safe concurrently with AddChild by design).
   const TreeNode& node(NodeId id) const { return *Slot(id); }
   TreeNode& mutable_node(NodeId id) { return *Slot(id); }
@@ -156,8 +161,8 @@ class DecisionTree {
   /// Appends a node (arena slot + id) under grow_mutex_.
   NodeId Append(TreeNode node) REQUIRES(*grow_mutex_);
 
-  /// Drops all nodes (used by CompactAfterPrune's rebuild).
-  void ResetArena() REQUIRES(*grow_mutex_);
+  /// Appends `nodes` in order (Clone's fill of a fresh arena).
+  void AppendAll(std::vector<TreeNode> nodes) EXCLUDES(*grow_mutex_);
 
   // lint: unguarded(set at construction/load; immutable while shared)
   Schema schema_;

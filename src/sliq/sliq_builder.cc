@@ -4,6 +4,7 @@
 #include <cassert>
 #include <vector>
 
+#include "core/builder_context.h"
 #include "core/presort.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -101,10 +102,7 @@ Result<SliqResult> TrainSliq(const Dataset& data, const SliqOptions& options) {
   result.tree->CreateRoot(root_hist);
 
   std::vector<SliqLeaf> leaves;
-  const bool root_splittable =
-      !root_hist.IsPure() && n >= options.min_split &&
-      (options.max_levels == 0 || options.max_levels > 1);
-  if (root_splittable) {
+  if (!FinalizedAsLeaf(root_hist, 0, options.min_split, options.max_levels)) {
     SliqLeaf root;
     root.node = result.tree->root();
     root.hist = root_hist;
@@ -216,10 +214,8 @@ Result<SliqResult> TrainSliq(const Dataset& data, const SliqOptions& options) {
                (side == 0 ? leaf.best.left_count : leaf.best.right_count));
         child.node =
             result.tree->AddChild(leaf.node, side == 0, child.hist);
-        const bool finalized =
-            child.hist.IsPure() || child.hist.Total() < options.min_split ||
-            (options.max_levels > 0 && child_depth >= options.max_levels - 1);
-        if (!finalized) {
+        if (!FinalizedAsLeaf(child.hist, child_depth, options.min_split,
+                             options.max_levels)) {
           child.next_index = static_cast<int32_t>(next.size());
           SliqLeaf state;
           state.node = child.node;

@@ -1,91 +1,11 @@
 #include "stream/hoeffding_builder.h"
 
 #include <cmath>
-#include <span>
 #include <utility>
 
-#include "core/tree_io.h"
 #include "util/string_util.h"
 
 namespace smptree {
-
-namespace {
-
-/// E for one (leaf, attr) of the streaming frontier: the same sweep as the
-/// batch engine's EvaluateBinnedLeafAttr, against the frozen sketch's cuts.
-/// `n_total` is the leaf's observed tuple count (== hist.Total()).
-void EvaluateStreamLeafAttr(const SketchQuantizer& sketch,
-                            const LeafHistogram& bins,
-                            const ClassHistogram& hist, int64_t n_total,
-                            int attr, const GiniOptions& gini,
-                            GiniScratch* scratch, SplitCandidate* out,
-                            int* out_bin) {
-  const int off = sketch.offset(attr);
-  const int nbins = sketch.num_bins(attr);
-  const int num_classes = hist.num_classes();
-  *out = SplitCandidate();
-  *out_bin = -1;
-
-  if (sketch.categorical(attr)) {
-    CountMatrix& matrix = scratch->matrix;
-    matrix.Reset(nbins, num_classes);
-    for (int b = 0; b < nbins; ++b) {
-      const std::span<const int64_t> row = bins.row(off + b);
-      for (int c = 0; c < num_classes; ++c) {
-        if (row[c] != 0) matrix.AddCount(b, c, row[c]);
-      }
-    }
-    *out = EvaluateCategoricalFromMatrix(attr, matrix, hist, gini, scratch);
-    return;
-  }
-
-  ClassHistogram& below = scratch->below;
-  ClassHistogram& above = scratch->above;
-  below.Reset(num_classes);
-  above = hist;
-  int64_t nl = 0;
-  SplitCandidate best;
-  int best_bin = -1;
-  for (int b = 0; b + 1 < nbins; ++b) {
-    const std::span<const int64_t> row = bins.row(off + b);
-    for (int c = 0; c < num_classes; ++c) {
-      if (row[c] == 0) continue;
-      below.Add(static_cast<ClassLabel>(c), row[c]);
-      above.Remove(static_cast<ClassLabel>(c), row[c]);
-      nl += row[c];
-    }
-    if (nl == 0) continue;     // nothing left of this cut yet
-    if (nl == n_total) break;  // all records left: no proper split remains
-    SplitCandidate candidate;
-    candidate.test.attr = attr;
-    candidate.test.threshold = sketch.cut(attr, b);
-    candidate.gini = SplitImpurityWithTotals(below, above, nl, n_total - nl,
-                                             gini.criterion);
-    candidate.left_count = nl;
-    candidate.right_count = n_total - nl;
-    if (candidate.BetterThan(best)) {
-      best = candidate;
-      best_bin = b;
-    }
-  }
-  *out = best;
-  *out_bin = best_bin;
-}
-
-/// Majority with ClassHistogram::Majority's tie rule (lowest label wins).
-ClassLabel MajorityOf(const std::vector<int64_t>& counts) {
-  ClassLabel best = 0;
-  int64_t best_count = counts.empty() ? 0 : counts[0];
-  for (size_t c = 1; c < counts.size(); ++c) {
-    if (counts[c] > best_count) {
-      best_count = counts[c];
-      best = static_cast<ClassLabel>(c);
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 HoeffdingTreeBuilder::HoeffdingTreeBuilder(const Schema& schema,
                                            HoeffdingOptions options)
@@ -180,7 +100,7 @@ Status HoeffdingTreeBuilder::FreezeAndReplay() {
   uint64_t active_bytes = 0;
   for (StreamLeaf& leaf : leaves_) {
     if (leaf.node == kInvalidNode || !leaf.active) continue;
-    leaf.bins.Reset(sketch_.total_bins(), schema_.num_classes());
+    leaf.bins.Reset(quantizer().total_bins(), schema_.num_classes());
     active_bytes += LeafBytes();
   }
   counters_.histogram_bytes.store(active_bytes, std::memory_order_relaxed);
@@ -205,7 +125,7 @@ Status HoeffdingTreeBuilder::Route(const TupleValues& values,
              : nd.right;
   }
   TreeNode& nd = tree_.mutable_node(id);
-  nd.majority = MajorityOf(nd.class_counts);
+  nd.majority = MajorityLabel(nd.class_counts);
 
   const int32_t slot = static_cast<size_t>(id) < slot_of_node_.size()
                            ? slot_of_node_[static_cast<size_t>(id)]
@@ -218,11 +138,12 @@ Status HoeffdingTreeBuilder::Route(const TupleValues& values,
   leaf.hist.Add(label);
   if (!leaf.active) return Status::OK();
 
+  const Quantizer& layout = quantizer();
   const int num_attrs = schema_.num_attrs();
   for (int a = 0; a < num_attrs; ++a) {
-    leaf.bins.Add(sketch_.offset(a) +
-                      sketch_.BinOf(a, values[static_cast<size_t>(a)]),
-                  label);
+    leaf.bins.Add(
+        layout.offset(a) + layout.BinOf(a, values[static_cast<size_t>(a)]),
+        label);
   }
   if (++leaf.since_eval >= options_.grace_period) {
     return TrySplit(slot);
@@ -243,8 +164,8 @@ Status HoeffdingTreeBuilder::TrySplit(int slot) {
   for (int a = 0; a < num_attrs; ++a) {
     SplitCandidate candidate;
     int bin = -1;
-    EvaluateStreamLeafAttr(sketch_, leaf.bins, leaf.hist, n, a,
-                           options_.gini, &scratch_, &candidate, &bin);
+    EvaluateBinnedAttr(quantizer(), leaf.bins, leaf.hist, n, a,
+                       options_.gini, &scratch_, &candidate, &bin);
     if (candidate.BetterThan(best)) {
       second = best;
       best = candidate;
@@ -279,39 +200,15 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
                                      int best_bin) {
   const int num_classes = schema_.num_classes();
 
-  // Observed partition of this leaf's tuples, from the winner's bin rows
-  // (the same derivation as the batch W phase).
-  ClassHistogram obs_left(num_classes);
+  // Observed partition of this leaf's tuples, from the winner's bin rows.
+  // `leaf` stays valid until NewLeafSlot may grow leaves_.
+  StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
+  const NodeId node = leaf.node;
+  ClassHistogram obs_left;
   ClassHistogram obs_right;
-  NodeId node = kInvalidNode;
-  {
-    const StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
-    const int attr = best.test.attr;
-    const int off = sketch_.offset(attr);
-    const int nbins = sketch_.num_bins(attr);
-    for (int b = 0; b < nbins; ++b) {
-      const bool left = best.test.categorical ? best.test.SubsetContains(b)
-                                              : b <= best_bin;
-      if (!left) continue;
-      const std::span<const int64_t> row = leaf.bins.row(off + b);
-      for (int c = 0; c < num_classes; ++c) {
-        if (row[c] != 0) obs_left.Add(static_cast<ClassLabel>(c), row[c]);
-      }
-    }
-    obs_right = leaf.hist;
-    obs_right.Subtract(obs_left);
-    if (obs_left.Total() != best.left_count ||
-        obs_right.Total() != best.right_count) {
-      return Status::Corruption(StringPrintf(
-          "streaming split of node %d covers %lld/%lld observed tuples, "
-          "expected %lld/%lld",
-          leaf.node, static_cast<long long>(obs_left.Total()),
-          static_cast<long long>(obs_right.Total()),
-          static_cast<long long>(best.left_count),
-          static_cast<long long>(best.right_count)));
-    }
-    node = leaf.node;
-  }
+  SMPTREE_RETURN_IF_ERROR(PartitionBinnedSplit(quantizer(), leaf.bins,
+                                               leaf.hist, best, best_bin,
+                                               &obs_left, &obs_right));
 
   // Partition the node's full counts (observed + created-with) exactly:
   // created-with counts follow the observed ratio per class, and the right
@@ -321,7 +218,6 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
   ClassHistogram right_counts(num_classes);
   {
     const TreeNode& nd = tree_.node(node);
-    const StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
     for (int c = 0; c < num_classes; ++c) {
       const int64_t total = nd.class_counts[static_cast<size_t>(c)];
       const int64_t observed = leaf.hist.count(c);
@@ -339,15 +235,11 @@ Status HoeffdingTreeBuilder::DoSplit(int slot, const SplitCandidate& best,
 
   // Retire the parent's slot (its histogram storage is recycled by the
   // children via the free list) and open two fresh leaves.
-  {
-    StreamLeaf& leaf = leaves_[static_cast<size_t>(slot)];
-    leaf.node = kInvalidNode;
-    leaf.hist.Clear();
-    leaf.since_eval = 0;
-    counters_.active_leaves.fetch_sub(1, std::memory_order_relaxed);
-    counters_.histogram_bytes.fetch_sub(LeafBytes(),
-                                        std::memory_order_relaxed);
-  }
+  leaf.node = kInvalidNode;
+  leaf.hist.Clear();
+  leaf.since_eval = 0;
+  counters_.active_leaves.fetch_sub(1, std::memory_order_relaxed);
+  counters_.histogram_bytes.fetch_sub(LeafBytes(), std::memory_order_relaxed);
   slot_of_node_[static_cast<size_t>(node)] = -1;
   free_slots_.push_back(slot);
   (void)NewLeafSlot(left_child);
@@ -373,7 +265,7 @@ int HoeffdingTreeBuilder::NewLeafSlot(NodeId node) {
   leaf.since_eval = 0;
   leaf.active = true;
   if (sketch_.frozen()) {
-    leaf.bins.Reset(sketch_.total_bins(), schema_.num_classes());
+    leaf.bins.Reset(quantizer().total_bins(), schema_.num_classes());
     counters_.histogram_bytes.fetch_add(LeafBytes(),
                                         std::memory_order_relaxed);
   }
@@ -421,7 +313,7 @@ void HoeffdingTreeBuilder::EnforceBudget() {
 }
 
 uint64_t HoeffdingTreeBuilder::LeafBytes() const {
-  return static_cast<uint64_t>(sketch_.total_bins()) *
+  return static_cast<uint64_t>(quantizer().total_bins()) *
          static_cast<uint64_t>(schema_.num_classes()) * sizeof(int64_t);
 }
 
@@ -435,15 +327,12 @@ Status HoeffdingTreeBuilder::Finish() {
   return Publish();
 }
 
-Result<DecisionTree> HoeffdingTreeBuilder::Snapshot() const {
-  return DeserializeTree(schema_, SerializeTree(tree_));
-}
+DecisionTree HoeffdingTreeBuilder::Snapshot() const { return tree_.Clone(); }
 
 Status HoeffdingTreeBuilder::Publish() {
   if (!options_.publish) return Status::OK();
-  SMPTREE_ASSIGN_OR_RETURN(DecisionTree snapshot, Snapshot());
   SMPTREE_RETURN_IF_ERROR(options_.publish(
-      std::move(snapshot), counters_.tuples.load(std::memory_order_relaxed)));
+      Snapshot(), counters_.tuples.load(std::memory_order_relaxed)));
   counters_.snapshots.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

@@ -11,17 +11,20 @@
 //
 // Split when (second_best_impurity - best_impurity) > epsilon, or when
 // epsilon < tau after the grace period (the tie-break: both candidates are
-// so close that either is fine). Split evaluation reuses the exact integer
-// sweep of the batch engine (same SplitImpurityWithTotals, same BetterThan
-// tie rule), so a streaming split is bit-comparable to what the batch
-// engine would pick from the same histogram.
+// so close that either is fine). Splitting runs the batch binned engine's
+// own code (binned/leaf_histogram.h): EvaluateBinnedAttr sweeps each
+// attribute's bins and PartitionBinnedSplit derives the children's counts,
+// so a streaming split is exactly what the batch engine would pick from the
+// same histogram.
 //
-// Bounded memory: cut points come from a frozen SketchQuantizer (warmup
-// tuples are buffered and replayed through the tree once cuts freeze), and
-// when active leaf histograms exceed the budget the least promising leaves
-// (lowest observed_count x impurity) are deactivated -- they keep routing
-// and keep their class counts (so predictions stay exact) but stop paying
-// histogram memory and can no longer split.
+// Bounded memory: leaves bin through the Quantizer a SketchQuantizer
+// freezes from a reservoir sample -- the batch engine's layout, with cuts
+// at observed quantiles (warmup tuples are buffered and replayed through
+// the tree once cuts freeze) -- and when active leaf histograms exceed the
+// budget the least promising leaves (lowest observed_count x impurity) are
+// deactivated -- they keep routing and keep their class counts (so
+// predictions stay exact) but stop paying histogram memory and can no
+// longer split.
 //
 // The tree maintains the serving invariant at every tuple boundary: each
 // routed tuple increments the class counts of every node on its root-to-leaf
@@ -109,16 +112,18 @@ class HoeffdingTreeBuilder {
   /// buffer), then publishes a final snapshot when a publish hook is set.
   Status Finish();
 
-  /// Independent copy of the current tree via the exact text round-trip
-  /// (DecisionTree is move-only). Builder thread only.
-  Result<DecisionTree> Snapshot() const;
+  /// Independent copy of the current tree (DecisionTree::Clone; the tree
+  /// is move-only). Builder thread only.
+  DecisionTree Snapshot() const;
 
   /// Snapshot + publish hook + snapshot counter. No-op without a hook.
   Status Publish();
 
   const DecisionTree& tree() const { return tree_; }
   const Schema& schema() const { return schema_; }
-  const SketchQuantizer& quantizer() const { return sketch_; }
+  /// The frozen bin layout every leaf histogram uses (empty before the
+  /// sketch freezes).
+  const Quantizer& quantizer() const { return sketch_.quantizer(); }
 
   /// Safe from any thread.
   StreamStats Stats() const;
@@ -147,7 +152,8 @@ class HoeffdingTreeBuilder {
   /// Hoeffding test at a leaf; splits when the bound (or tie-break) holds.
   Status TrySplit(int slot);
 
-  /// Applies `best` at the leaf: exact count partition, two fresh leaves.
+  /// Applies `best` at the leaf: PartitionBinnedSplit of the observed
+  /// counts, exact partition of the node's counts, two fresh leaves.
   Status DoSplit(int slot, const SplitCandidate& best, int best_bin);
 
   /// Deactivates lowest-promise leaves until histograms fit the budget.

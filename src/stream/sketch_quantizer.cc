@@ -1,6 +1,7 @@
 #include "stream/sketch_quantizer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/string_util.h"
 
@@ -17,25 +18,24 @@ Status SketchQuantizer::Init(const Schema& schema, const Options& options) {
         "reservoir_size %d below max_bins %d", options.reservoir_size,
         options.max_bins));
   }
-  attrs_.assign(static_cast<size_t>(schema.num_attrs()), AttrSketch());
+  reservoirs_.assign(static_cast<size_t>(schema.num_attrs()), {});
   for (int a = 0; a < schema.num_attrs(); ++a) {
-    AttrSketch& sketch = attrs_[static_cast<size_t>(a)];
     if (schema.attr(a).is_categorical()) {
       if (schema.attr(a).cardinality > 256) {
         return Status::InvalidArgument(StringPrintf(
             "categorical attribute %d has cardinality %d > 256", a,
             schema.attr(a).cardinality));
       }
-      sketch.categorical = true;
-      sketch.num_bins = schema.attr(a).cardinality;
     } else {
-      sketch.reservoir.reserve(static_cast<size_t>(options.reservoir_size));
+      reservoirs_[static_cast<size_t>(a)].reserve(
+          static_cast<size_t>(options.reservoir_size));
     }
   }
+  schema_ = schema;
+  quantizer_ = Quantizer();
   options_ = options;
   rng_ = Random(options.seed);
   observed_ = 0;
-  total_bins_ = 0;
   initialized_ = true;
   frozen_ = false;
   return Status::OK();
@@ -44,16 +44,16 @@ Status SketchQuantizer::Init(const Schema& schema, const Options& options) {
 void SketchQuantizer::Observe(const TupleValues& values) {
   if (!initialized_ || frozen_) return;
   const size_t cap = static_cast<size_t>(options_.reservoir_size);
-  for (size_t a = 0; a < attrs_.size(); ++a) {
-    AttrSketch& sketch = attrs_[a];
-    if (sketch.categorical) continue;
+  for (size_t a = 0; a < reservoirs_.size(); ++a) {
+    if (schema_.attr(static_cast<int>(a)).is_categorical()) continue;
+    std::vector<float>& reservoir = reservoirs_[a];
     const float v = values[a].f;
-    if (sketch.reservoir.size() < cap) {
-      sketch.reservoir.push_back(v);
+    if (reservoir.size() < cap) {
+      reservoir.push_back(v);
     } else {
       // Algorithm R: keep each of the n values seen with probability cap/n.
       const uint64_t j = rng_.Uniform(static_cast<uint64_t>(observed_) + 1);
-      if (j < cap) sketch.reservoir[static_cast<size_t>(j)] = v;
+      if (j < cap) reservoir[static_cast<size_t>(j)] = v;
     }
   }
   ++observed_;
@@ -64,43 +64,39 @@ Status SketchQuantizer::Freeze() {
     return Status::InvalidArgument("SketchQuantizer::Freeze before Init");
   }
   if (frozen_) return Status::OK();
-  int offset = 0;
-  for (AttrSketch& sketch : attrs_) {
-    sketch.offset = offset;
-    if (sketch.categorical) {
-      offset += sketch.num_bins;
-      continue;
-    }
-    std::sort(sketch.reservoir.begin(), sketch.reservoir.end());
-    sketch.cuts.clear();
-    const int64_t n = static_cast<int64_t>(sketch.reservoir.size());
+  std::vector<std::vector<float>> cuts(reservoirs_.size());
+  for (size_t a = 0; a < reservoirs_.size(); ++a) {
+    std::vector<float>& reservoir = reservoirs_[a];
+    std::vector<float>& attr_cuts = cuts[a];
+    std::sort(reservoir.begin(), reservoir.end());
+    const int64_t n = static_cast<int64_t>(reservoir.size());
     if (n > 1) {
       // Quantile-spaced cuts at observed values; bin(v) counts cuts <= v,
       // so dedup keeps the invariant exact when quantiles collide.
       for (int i = 1; i < options_.max_bins; ++i) {
         const int64_t pos = i * n / options_.max_bins;
         if (pos <= 0 || pos >= n) continue;
-        const float c = sketch.reservoir[static_cast<size_t>(pos)];
-        if (sketch.cuts.empty() || c > sketch.cuts.back()) {
-          sketch.cuts.push_back(c);
+        const float c = reservoir[static_cast<size_t>(pos)];
+        if (attr_cuts.empty() || c > attr_cuts.back()) {
+          attr_cuts.push_back(c);
         }
       }
     }
-    sketch.num_bins = static_cast<int>(sketch.cuts.size()) + 1;
-    sketch.reservoir.clear();
-    sketch.reservoir.shrink_to_fit();
-    offset += sketch.num_bins;
+    reservoir.clear();
+    reservoir.shrink_to_fit();
   }
-  total_bins_ = offset;
+  quantizer_ = Quantizer::FromCuts(schema_, std::move(cuts));
   frozen_ = true;
   return Status::OK();
 }
 
 uint64_t SketchQuantizer::MemoryBytes() const {
   uint64_t bytes = 0;
-  for (const AttrSketch& sketch : attrs_) {
-    bytes += (sketch.reservoir.capacity() + sketch.cuts.capacity()) *
-             sizeof(float);
+  for (const std::vector<float>& reservoir : reservoirs_) {
+    bytes += reservoir.capacity() * sizeof(float);
+  }
+  for (int a = 0; a < quantizer_.num_attrs(); ++a) {
+    bytes += static_cast<uint64_t>(quantizer_.num_cuts(a)) * sizeof(float);
   }
   return bytes;
 }

@@ -1,10 +1,10 @@
-// Online cut-point learning for the streaming builder: a bounded-memory
-// counterpart of binned/quantizer.h. Each continuous attribute keeps a
-// fixed-size uniform reservoir of observed values (algorithm R); once enough
-// of the stream has been seen, Freeze() turns the reservoirs into
-// quantile-spaced cut points and the quantizer becomes immutable -- from
-// then on it exposes the exact surface the binned evaluators expect
-// (num_bins / offset / cut / BinOf) under the same invariant:
+// Online cut-point learning for the streaming builder. Each continuous
+// attribute keeps a fixed-size uniform reservoir of observed values
+// (algorithm R); once enough of the stream has been seen, Freeze() turns
+// the reservoirs into quantile-spaced cut points and hands them to
+// Quantizer::FromCuts -- the batch engine's bin layout -- so the stream
+// trainer bins, sizes histograms and sweeps splits through the same
+// Quantizer as the binned engine, under the same invariant:
 //
 //   bin(v) = #{ cuts c : c <= v }    so    bin(v) <= i  <=>  v < cuts[i]
 //
@@ -20,10 +20,10 @@
 #ifndef SMPTREE_STREAM_SKETCH_QUANTIZER_H_
 #define SMPTREE_STREAM_SKETCH_QUANTIZER_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "binned/quantizer.h"
 #include "data/dataset.h"
 #include "data/schema.h"
 #include "util/random.h"
@@ -32,7 +32,7 @@
 namespace smptree {
 
 /// Reservoir-sketch quantizer. Not thread-safe; one owner thread observes
-/// and freezes, after which the const surface is safe to share read-only.
+/// and freezes, after which quantizer() is safe to share read-only.
 class SketchQuantizer {
  public:
   struct Options {
@@ -56,41 +56,20 @@ class SketchQuantizer {
   bool frozen() const { return frozen_; }
   int64_t observed() const { return observed_; }
 
+  /// The frozen bin layout (empty before Freeze).
+  const Quantizer& quantizer() const { return quantizer_; }
+
   /// Reservoir + cut storage actually held, for the /statz memory line.
   uint64_t MemoryBytes() const;
 
-  // Quantizer-compatible surface (valid after Freeze).
-  int num_attrs() const { return static_cast<int>(attrs_.size()); }
-  bool categorical(int attr) const { return attrs_[attr].categorical; }
-  int num_bins(int attr) const { return attrs_[attr].num_bins; }
-  int num_cuts(int attr) const {
-    return static_cast<int>(attrs_[attr].cuts.size());
-  }
-  float cut(int attr, int i) const { return attrs_[attr].cuts[i]; }
-  int offset(int attr) const { return attrs_[attr].offset; }
-  int total_bins() const { return total_bins_; }
-
-  uint8_t BinOf(int attr, AttrValue v) const {
-    const AttrSketch& a = attrs_[attr];
-    if (a.categorical) return static_cast<uint8_t>(v.cat);
-    return static_cast<uint8_t>(
-        std::upper_bound(a.cuts.begin(), a.cuts.end(), v.f) - a.cuts.begin());
-  }
-
  private:
-  struct AttrSketch {
-    bool categorical = false;
-    int num_bins = 0;
-    int offset = 0;
-    std::vector<float> reservoir;  ///< cleared by Freeze
-    std::vector<float> cuts;       ///< ascending; empty for categorical
-  };
-
-  std::vector<AttrSketch> attrs_;
+  Schema schema_;
+  /// Per attribute; empty for categorical, released by Freeze.
+  std::vector<std::vector<float>> reservoirs_;
+  Quantizer quantizer_;
   Options options_;
   Random rng_{1};
   int64_t observed_ = 0;
-  int total_bins_ = 0;
   bool initialized_ = false;
   bool frozen_ = false;
 };

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "core/tree_io.h"
 #include "data/synthetic.h"
 #include "stream/stream_source.h"
 
@@ -102,14 +103,12 @@ TEST(HoeffdingBuilderTest, EveryMidStreamSnapshotPassesValidate) {
     routed += *n;
     // The serving invariant must hold at every batch boundary, including
     // inside warmup and right after splits.
-    auto snapshot = builder.Snapshot();
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    ASSERT_TRUE(snapshot->Validate().ok())
-        << "after " << routed << " tuples: "
-        << snapshot->Validate().ToString();
+    const DecisionTree snapshot = builder.Snapshot();
+    ASSERT_TRUE(snapshot.Validate().ok())
+        << "after " << routed << " tuples: " << snapshot.Validate().ToString();
     // Snapshot and live tree agree on classifications.
     TupleValues probe = batch.tuples.back();
-    EXPECT_EQ(snapshot->Classify(probe), builder.tree().Classify(probe));
+    EXPECT_EQ(snapshot.Classify(probe), builder.tree().Classify(probe));
   }
 }
 
@@ -177,6 +176,35 @@ TEST(HoeffdingBuilderTest, PublishHookFiresOnPeriodAndFinish) {
   EXPECT_EQ(publishes, 6);
   EXPECT_EQ(last_tuples, 5500);
   EXPECT_EQ(builder.Stats().snapshots, 6);
+}
+
+TEST(HoeffdingBuilderTest, SnapshotMatchesTheTextRoundTrip) {
+  // Snapshot copies the tree directly (DecisionTree::Clone); at every
+  // publish it must equal what a serialize/deserialize round-trip of the
+  // live tree would have produced, byte for byte.
+  const HoeffdingTreeBuilder* live = nullptr;
+  int64_t publishes = 0;
+  HoeffdingOptions options;
+  options.warmup_tuples = 300;
+  options.grace_period = 100;
+  options.snapshot_every = 1000;
+  options.publish = [&](DecisionTree&& snapshot, int64_t) {
+    ++publishes;
+    EXPECT_TRUE(snapshot.Validate().ok()) << snapshot.Validate().ToString();
+    const std::string bytes = SerializeTree(live->tree());
+    EXPECT_EQ(SerializeTree(snapshot), bytes);
+    auto round_trip = DeserializeTree(live->schema(), bytes);
+    if (!round_trip.ok()) return round_trip.status();
+    EXPECT_TRUE(TreesEqual(snapshot, *round_trip));
+    return Status::OK();
+  };
+  HoeffdingTreeBuilder builder(SyntheticSchema(9), options);
+  live = &builder;
+  ASSERT_TRUE(builder.Init().ok());
+  StreamInto(&builder, 2, 12000, 31);
+  ASSERT_TRUE(builder.Finish().ok());
+  EXPECT_EQ(publishes, 13);
+  EXPECT_GT(builder.Stats().splits, 0);
 }
 
 TEST(HoeffdingBuilderTest, PublishFailureAbortsTheStream) {

@@ -225,9 +225,7 @@ TEST(ModelStoreTest, RapidSuccessivePublishesRaceScoringLoop) {
   options.grace_period = 50;
   HoeffdingTreeBuilder builder(schema, options);
   ASSERT_TRUE(builder.Init().ok());
-  auto initial = builder.Snapshot();
-  ASSERT_TRUE(initial.ok());
-  auto created = ModelStore::Create(std::move(*initial));
+  auto created = ModelStore::Create(builder.Snapshot());
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   ModelStore* store = created->get();
 
@@ -275,9 +273,7 @@ TEST(ModelStoreTest, RapidSuccessivePublishesRaceScoringLoop) {
     auto n = source.NextBatch(300, &batch);
     ASSERT_TRUE(n.ok());
     ASSERT_TRUE(builder.Ingest(batch).ok());
-    auto snapshot = builder.Snapshot();
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    ASSERT_TRUE(store->Install(std::move(*snapshot), "rapid").ok());
+    ASSERT_TRUE(store->Install(builder.Snapshot(), "rapid").ok());
   }
   done.store(true, std::memory_order_release);
   for (auto& th : scorers) th.join();

@@ -51,10 +51,11 @@ TEST(SketchQuantizerTest, FreezeRequiresInitAndIsIdempotent) {
   ASSERT_TRUE(q.Init(MixedSchema(), SketchQuantizer::Options()).ok());
   q.Observe(Tuple(1.0f, 0, 2.0f));
   ASSERT_TRUE(q.Freeze().ok());
+  const Quantizer& layout = q.quantizer();
   EXPECT_TRUE(q.frozen());
-  const int bins = q.total_bins();
+  const int bins = layout.total_bins();
   ASSERT_TRUE(q.Freeze().ok());
-  EXPECT_EQ(q.total_bins(), bins);
+  EXPECT_EQ(layout.total_bins(), bins);
 }
 
 TEST(SketchQuantizerTest, BinInvariantHoldsOnEveryCut) {
@@ -68,20 +69,21 @@ TEST(SketchQuantizerTest, BinInvariantHoldsOnEveryCut) {
                     static_cast<float>((i * 7) % 31)));
   }
   ASSERT_TRUE(q.Freeze().ok());
+  const Quantizer& layout = q.quantizer();
 
   for (int attr : {0, 2}) {
-    ASSERT_GE(q.num_cuts(attr), 1);
-    EXPECT_EQ(q.num_bins(attr), q.num_cuts(attr) + 1);
-    for (int i = 0; i < q.num_cuts(attr); ++i) {
+    ASSERT_GE(layout.num_cuts(attr), 1);
+    EXPECT_EQ(layout.num_bins(attr), layout.num_cuts(attr) + 1);
+    for (int i = 0; i < layout.num_cuts(attr); ++i) {
       if (i > 0) {
-        EXPECT_LT(q.cut(attr, i - 1), q.cut(attr, i));
+        EXPECT_LT(layout.cut(attr, i - 1), layout.cut(attr, i));
       }
       // bin(v) = #{cuts <= v}: a cut value itself lands in the bin above it.
       AttrValue at_cut, below;
-      at_cut.f = q.cut(attr, i);
-      below.f = std::nextafter(q.cut(attr, i), -1e30f);
-      EXPECT_EQ(q.BinOf(attr, at_cut), i + 1);
-      EXPECT_EQ(q.BinOf(attr, below), i);
+      at_cut.f = layout.cut(attr, i);
+      below.f = std::nextafter(layout.cut(attr, i), -1e30f);
+      EXPECT_EQ(layout.BinOf(attr, at_cut), i + 1);
+      EXPECT_EQ(layout.BinOf(attr, below), i);
     }
   }
 }
@@ -91,12 +93,13 @@ TEST(SketchQuantizerTest, CategoricalBinsAreCodes) {
   ASSERT_TRUE(q.Init(MixedSchema(), SketchQuantizer::Options()).ok());
   q.Observe(Tuple(0.0f, 2, 0.0f));
   ASSERT_TRUE(q.Freeze().ok());
-  EXPECT_TRUE(q.categorical(1));
-  EXPECT_EQ(q.num_bins(1), 3);
+  const Quantizer& layout = q.quantizer();
+  EXPECT_TRUE(layout.categorical(1));
+  EXPECT_EQ(layout.num_bins(1), 3);
   for (int32_t code = 0; code < 3; ++code) {
     AttrValue v;
     v.cat = code;
-    EXPECT_EQ(q.BinOf(1, v), code);
+    EXPECT_EQ(layout.BinOf(1, v), code);
   }
 }
 
@@ -107,12 +110,13 @@ TEST(SketchQuantizerTest, OffsetsTileTheFlatBinSpace) {
     q.Observe(Tuple(static_cast<float>(i), i % 3, static_cast<float>(-i)));
   }
   ASSERT_TRUE(q.Freeze().ok());
+  const Quantizer& layout = q.quantizer();
   int expect_offset = 0;
-  for (int a = 0; a < q.num_attrs(); ++a) {
-    EXPECT_EQ(q.offset(a), expect_offset);
-    expect_offset += q.num_bins(a);
+  for (int a = 0; a < layout.num_attrs(); ++a) {
+    EXPECT_EQ(layout.offset(a), expect_offset);
+    expect_offset += layout.num_bins(a);
   }
-  EXPECT_EQ(q.total_bins(), expect_offset);
+  EXPECT_EQ(layout.total_bins(), expect_offset);
 }
 
 TEST(SketchQuantizerTest, QuantileCutsTrackTheDistribution) {
@@ -132,10 +136,11 @@ TEST(SketchQuantizerTest, QuantileCutsTrackTheDistribution) {
     q.Observe(v);
   }
   ASSERT_TRUE(q.Freeze().ok());
-  ASSERT_EQ(q.num_cuts(0), 3);
-  EXPECT_NEAR(q.cut(0, 0), 1024.0f, 1.0f);
-  EXPECT_NEAR(q.cut(0, 1), 2048.0f, 1.0f);
-  EXPECT_NEAR(q.cut(0, 2), 3072.0f, 1.0f);
+  const Quantizer& layout = q.quantizer();
+  ASSERT_EQ(layout.num_cuts(0), 3);
+  EXPECT_NEAR(layout.cut(0, 0), 1024.0f, 1.0f);
+  EXPECT_NEAR(layout.cut(0, 1), 2048.0f, 1.0f);
+  EXPECT_NEAR(layout.cut(0, 2), 3072.0f, 1.0f);
 }
 
 TEST(SketchQuantizerTest, EmptyReservoirYieldsSingleBin) {
@@ -145,11 +150,12 @@ TEST(SketchQuantizerTest, EmptyReservoirYieldsSingleBin) {
   SketchQuantizer q;
   ASSERT_TRUE(q.Init(s, SketchQuantizer::Options()).ok());
   ASSERT_TRUE(q.Freeze().ok());
-  EXPECT_EQ(q.num_cuts(0), 0);
-  EXPECT_EQ(q.num_bins(0), 1);
+  const Quantizer& layout = q.quantizer();
+  EXPECT_EQ(layout.num_cuts(0), 0);
+  EXPECT_EQ(layout.num_bins(0), 1);
   AttrValue v;
   v.f = 123.0f;
-  EXPECT_EQ(q.BinOf(0, v), 0);
+  EXPECT_EQ(layout.BinOf(0, v), 0);
 }
 
 TEST(SketchQuantizerTest, FreezeReleasesReservoirMemory) {

@@ -81,9 +81,7 @@ TEST(StreamServeTest, HotPublishedModelAnswersPredictDuringTraining) {
   HoeffdingTreeBuilder builder(schema, options);
   ASSERT_TRUE(builder.Init().ok());
 
-  auto initial = builder.Snapshot();
-  ASSERT_TRUE(initial.ok());
-  auto store = ModelStore::Create(std::move(*initial));
+  auto store = ModelStore::Create(builder.Snapshot());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ServiceOptions service_options;
   service_options.engine.num_workers = 2;

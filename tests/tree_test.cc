@@ -5,6 +5,8 @@
 #include <atomic>
 #include <thread>
 
+#include "core/tree_io.h"
+
 namespace smptree {
 namespace {
 
@@ -122,6 +124,42 @@ TEST(DecisionTreeTest, CompactAfterPruneDropsOrphans) {
   // Classification is unchanged.
   EXPECT_EQ(tree.Classify(Tuple(20, 0)), 0);
   EXPECT_EQ(tree.Classify(Tuple(40, 1)), 1);
+}
+
+TEST(DecisionTreeTest, CloneIsAnIndependentPreorderCopy) {
+  DecisionTree tree = BuildCarTree();
+  const DecisionTree copy = tree.Clone();
+  ASSERT_TRUE(copy.Validate().ok()) << copy.Validate().ToString();
+  EXPECT_TRUE(TreesEqual(tree, copy));
+  EXPECT_EQ(SerializeTree(tree), SerializeTree(copy));
+  // Changing the source leaves the copy alone.
+  tree.MakeLeaf(tree.root());
+  EXPECT_FALSE(copy.node(copy.root()).is_leaf());
+  EXPECT_EQ(DecisionTree(CarSchema()).Clone().num_nodes(), 0);
+
+  // Ids are renumbered in preorder: split the left child after the right
+  // child exists, and the clone still numbers the left subtree first.
+  DecisionTree grown(CarSchema());
+  const NodeId root = grown.CreateRoot(Hist(3, 3));
+  SplitTest age_test;
+  age_test.attr = 0;
+  age_test.threshold = 27.5f;
+  grown.SetSplit(root, age_test);
+  const NodeId left = grown.AddChild(root, true, Hist(2, 1));
+  grown.AddChild(root, false, Hist(1, 2));
+  SplitTest car_test;
+  car_test.attr = 1;
+  car_test.categorical = true;
+  car_test.subset = 0b010;
+  grown.SetSplit(left, car_test);
+  grown.AddChild(left, true, Hist(2, 0));
+  grown.AddChild(left, false, Hist(0, 1));
+  ASSERT_EQ(grown.node(root).right, 2);
+  const DecisionTree renumbered = grown.Clone();
+  ASSERT_TRUE(renumbered.Validate().ok());
+  EXPECT_TRUE(TreesEqual(grown, renumbered));
+  EXPECT_EQ(renumbered.node(renumbered.root()).right, 4);
+  EXPECT_EQ(renumbered.node(4).parent, 0);
 }
 
 TEST(DecisionTreeTest, MoveTransfersNodes) {

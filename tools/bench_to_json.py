@@ -710,8 +710,9 @@ def main():
     ap.add_argument("-o", "--output", default=None,
                     help="output path (default BENCH_core.json, "
                          "BENCH_parallel.json, BENCH_forest.json, "
-                         "BENCH_binned.json, BENCH_infer.json, or "
-                         "BENCH_serve.json by detected suite)")
+                         "BENCH_binned.json, BENCH_infer.json, "
+                         "BENCH_serve.json, or BENCH_stream.json by "
+                         "detected suite)")
     ap.add_argument("--validate", action="store_true",
                     help="schema-check checked-in BENCH_*.json artifacts "
                          "instead of converting")

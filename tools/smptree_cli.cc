@@ -508,9 +508,8 @@ int RunTrainStream(const Flags& flags) {
   if (!s.ok()) return Fail(s.ToString());
 
   if (serving) {
-    SMPTREE_ASSIGN_OR_RETURN_CLI(DecisionTree initial, builder.Snapshot());
     SMPTREE_ASSIGN_OR_RETURN_CLI(std::unique_ptr<ModelStore> store,
-                                 ModelStore::Create(std::move(initial)));
+                                 ModelStore::Create(builder.Snapshot()));
     ServiceOptions service_options;
     service_options.http.port = static_cast<uint16_t>(serve_port);
     service_options.stream_stats = [&builder] { return builder.StatsJson(); };
