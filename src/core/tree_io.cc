@@ -1,9 +1,11 @@
 #include "core/tree_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
-#include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "util/string_util.h"
 
@@ -34,30 +36,53 @@ std::string CountsToString(const std::vector<int64_t>& counts) {
 
 Status ParseCounts(std::string_view text, int num_classes,
                    std::vector<int64_t>* out) {
-  const auto parts = SplitString(text, ',');
-  if (static_cast<int>(parts.size()) != num_classes) {
+  if (std::count(text.begin(), text.end(), ',') + 1 != num_classes) {
     return Status::Corruption("class-count arity mismatch");
   }
   out->clear();
-  for (const auto& p : parts) {
+  size_t pos = 0;
+  for (int c = 0; c < num_classes; ++c) {
+    const size_t comma = std::min(text.find(',', pos), text.size());
+    const std::string_view part = text.substr(pos, comma - pos);
     int64_t v = 0;
-    if (!ParseInt64(p, &v)) return Status::Corruption("bad count: " + p);
+    if (!ParseInt64(part, &v)) {
+      return Status::Corruption("bad count: " + std::string(part));
+    }
     out->push_back(v);
+    pos = comma + 1;
   }
   return Status::OK();
 }
 
-// "key=value" tokens on a line -> map.
-std::map<std::string, std::string> TokenMap(
-    const std::vector<std::string>& tokens, size_t first) {
-  std::map<std::string, std::string> kv;
-  for (size_t i = first; i < tokens.size(); ++i) {
-    const auto pos = tokens[i].find('=');
-    if (pos == std::string::npos) continue;
-    kv[tokens[i].substr(0, pos)] = tokens[i].substr(pos + 1);
+// The ' '-separated fields of one node line, viewed in place; the vector is
+// reused across lines so parsing a node allocates nothing here.
+struct NodeFields {
+  std::vector<std::string_view> tokens;
+
+  void Split(std::string_view line) {
+    tokens.clear();
+    size_t pos = 0;
+    while (true) {
+      const size_t space = std::min(line.find(' ', pos), line.size());
+      tokens.push_back(line.substr(pos, space - pos));
+      if (space == line.size()) return;
+      pos = space + 1;
+    }
   }
-  return kv;
-}
+
+  // Value of the last "key=value" field after the kind and the id.
+  std::optional<std::string_view> Find(std::string_view key) const {
+    std::optional<std::string_view> value;
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      const std::string_view t = tokens[i];
+      if (t.size() > key.size() && t[key.size()] == '=' &&
+          t.substr(0, key.size()) == key) {
+        value = t.substr(key.size() + 1);
+      }
+    }
+    return value;
+  }
+};
 
 }  // namespace
 
@@ -101,16 +126,17 @@ std::string SerializeTree(const DecisionTree& tree) {
 }
 
 Result<DecisionTree> DeserializeTree(const Schema& schema,
-                                     const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  if (!std::getline(is, line) || line.rfind("tree v1 ", 0) != 0) {
+                                     std::string_view text) {
+  size_t pos = 0;
+  std::string_view line;
+  if (!NextLine(text, &pos, &line) || !line.starts_with("tree v1 ")) {
     return Status::Corruption("missing tree header");
   }
 
   DecisionTree tree(schema);
   ClassHistogram hist(schema.num_classes());
   std::vector<int64_t> counts;
+  NodeFields fields;
 
   // Preorder reconstruction with an explicit stack of nodes awaiting
   // children: (node id, which side comes next).
@@ -137,18 +163,19 @@ Result<DecisionTree> DeserializeTree(const Schema& schema,
     return Status::OK();
   };
 
-  while (std::getline(is, line)) {
-    const auto trimmed = TrimWhitespace(line);
+  while (NextLine(text, &pos, &line)) {
+    const std::string_view trimmed = TrimWhitespace(line);
     if (trimmed.empty()) continue;
-    auto tokens = SplitString(trimmed, ' ');
-    if (tokens.size() < 3) return Status::Corruption("short line: " + line);
-    const auto kv = TokenMap(tokens, 2);
-    const auto counts_it = kv.find("counts");
-    if (counts_it == kv.end()) {
-      return Status::Corruption("missing counts: " + line);
-    }
+    fields.Split(trimmed);
+    const std::vector<std::string_view>& tokens = fields.tokens;
+    const auto corrupt = [&line](const char* what) {
+      return Status::Corruption(what + std::string(line));
+    };
+    if (tokens.size() < 3) return corrupt("short line: ");
+    const auto counts_text = fields.Find("counts");
+    if (!counts_text) return corrupt("missing counts: ");
     SMPTREE_RETURN_IF_ERROR(
-        ParseCounts(counts_it->second, schema.num_classes(), &counts));
+        ParseCounts(*counts_text, schema.num_classes(), &counts));
     hist.Reset(schema.num_classes());
     for (size_t c = 0; c < counts.size(); ++c) {
       hist.Add(static_cast<ClassLabel>(c), counts[c]);
@@ -160,62 +187,58 @@ Result<DecisionTree> DeserializeTree(const Schema& schema,
 
     if (tokens[0] == "L") {
       int64_t cls = 0;
-      const auto cls_it = kv.find("class");
-      if (cls_it == kv.end() || !ParseInt64(cls_it->second, &cls) || cls < 0 ||
+      const auto cls_text = fields.Find("class");
+      if (!cls_text || !ParseInt64(*cls_text, &cls) || cls < 0 ||
           cls >= schema.num_classes()) {
-        return Status::Corruption("bad leaf class: " + line);
+        return corrupt("bad leaf class: ");
       }
       tree.mutable_node(id).majority = static_cast<ClassLabel>(cls);
     } else if (tokens[0] == "N") {
       SplitTest test;
       int64_t attr = 0;
       int64_t cat = 0;
-      const auto attr_it = kv.find("attr");
-      const auto cat_it = kv.find("cat");
-      if (attr_it == kv.end() || cat_it == kv.end() ||
-          !ParseInt64(attr_it->second, &attr) ||
-          !ParseInt64(cat_it->second, &cat) || attr < 0 ||
+      const auto attr_text = fields.Find("attr");
+      const auto cat_text = fields.Find("cat");
+      if (!attr_text || !cat_text || !ParseInt64(*attr_text, &attr) ||
+          !ParseInt64(*cat_text, &cat) || attr < 0 ||
           attr >= schema.num_attrs()) {
-        return Status::Corruption("bad node attrs: " + line);
+        return corrupt("bad node attrs: ");
       }
       test.attr = static_cast<int32_t>(attr);
       test.categorical = cat != 0;
       if (test.categorical) {
-        const auto big_it = kv.find("bigsubset");
-        if (big_it != kv.end()) {
+        const auto big_text = fields.Find("bigsubset");
+        if (big_text) {
           std::vector<uint64_t> words;
-          for (const auto& part : SplitString(big_it->second, ':')) {
+          for (const auto& part : SplitString(*big_text, ':')) {
             uint64_t w = 0;
-            if (!ParseUint64(part, &w)) {
-              return Status::Corruption("bad bigsubset: " + line);
-            }
+            if (!ParseUint64(part, &w)) return corrupt("bad bigsubset: ");
             words.push_back(w);
           }
-          if (words.empty()) {
-            return Status::Corruption("empty bigsubset: " + line);
-          }
+          if (words.empty()) return corrupt("empty bigsubset: ");
           test.big_subset =
               std::make_shared<const std::vector<uint64_t>>(std::move(words));
         } else {
           uint64_t subset = 0;
-          const auto it = kv.find("subset");
-          if (it == kv.end() || !ParseUint64(it->second, &subset)) {
-            return Status::Corruption("bad subset: " + line);
+          const auto subset_text = fields.Find("subset");
+          if (!subset_text || !ParseUint64(*subset_text, &subset)) {
+            return corrupt("bad subset: ");
           }
           test.subset = subset;
         }
       } else {
         int64_t bits = 0;
-        const auto it = kv.find("thr");
-        if (it == kv.end() || !ParseInt64(it->second, &bits)) {
-          return Status::Corruption("bad threshold: " + line);
+        const auto thr_text = fields.Find("thr");
+        if (!thr_text || !ParseInt64(*thr_text, &bits)) {
+          return corrupt("bad threshold: ");
         }
         test.threshold = BitsFloat(static_cast<uint32_t>(bits));
       }
       tree.SetSplit(id, test);
       stack.push_back(Pending{id, 0});
     } else {
-      return Status::Corruption("unknown line kind: " + tokens[0]);
+      return Status::Corruption("unknown line kind: " +
+                                std::string(tokens[0]));
     }
   }
   if (!have_root) return Status::Corruption("empty tree body");

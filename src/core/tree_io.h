@@ -11,6 +11,7 @@
 #define SMPTREE_CORE_TREE_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "core/tree.h"
 #include "util/status.h"
@@ -24,7 +25,7 @@ std::string SerializeTree(const DecisionTree& tree);
 /// the tree was built against (attribute indices are not re-validated beyond
 /// range checks).
 Result<DecisionTree> DeserializeTree(const Schema& schema,
-                                     const std::string& text);
+                                     std::string_view text);
 
 /// Structural equality: same shape, same split tests, same leaf classes.
 /// Class-count vectors must match too.

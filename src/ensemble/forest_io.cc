@@ -1,8 +1,8 @@
 #include "ensemble/forest_io.h"
 
 #include <cstdio>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "core/tree_io.h"
@@ -30,12 +30,12 @@ std::string SerializeForest(const Forest& forest) {
 
 Result<Forest> DeserializeForest(const Schema& schema,
                                  const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) ||
-      line.rfind(kForestHeaderPrefix, 0) != 0) {
+  size_t pos = 0;
+  std::string_view view;
+  if (!NextLine(text, &pos, &view) || !view.starts_with(kForestHeaderPrefix)) {
     return Status::InvalidArgument("not a forest file (bad header)");
   }
+  std::string line(view);
   int declared_trees = 0;
   if (std::sscanf(line.c_str() + sizeof(kForestHeaderPrefix) - 1, "%d",
                   &declared_trees) != 1 ||
@@ -46,17 +46,19 @@ Result<Forest> DeserializeForest(const Schema& schema,
 
   Forest forest(schema);
   for (int i = 0; i < declared_trees; ++i) {
-    if (!std::getline(in, line)) {
+    const size_t member_at = pos;
+    if (!NextLine(text, &pos, &view)) {
       return Status::Corruption(StringPrintf(
           "forest truncated: header declares %d trees, found %d",
           declared_trees, i));
     }
-    if (line.rfind(kTreeHeaderPrefix, 0) != 0) {
+    line = view;
+    if (!view.starts_with(kTreeHeaderPrefix)) {
       return Status::Corruption(StringPrintf(
           "member %d: expected tree header, got '%s'", i, line.c_str()));
     }
-    // The member's own header carries its node count; collect exactly that
-    // many node lines so tree_io sees one complete record.
+    // The member's own header carries its node count; hand tree_io exactly
+    // that many node lines, in place, as one complete record.
     const size_t nodes_at = line.find("nodes=");
     long long num_nodes = 0;
     if (nodes_at == std::string::npos ||
@@ -65,16 +67,14 @@ Result<Forest> DeserializeForest(const Schema& schema,
       return Status::Corruption(StringPrintf(
           "member %d: bad node count in '%s'", i, line.c_str()));
     }
-    std::string member = line;
-    member += '\n';
     for (long long n = 0; n < num_nodes; ++n) {
-      if (!std::getline(in, line)) {
+      if (!NextLine(text, &pos, &view)) {
         return Status::Corruption(StringPrintf(
             "member %d truncated: %lld of %lld node lines", i, n, num_nodes));
       }
-      member += line;
-      member += '\n';
     }
+    const std::string_view member =
+        std::string_view(text).substr(member_at, pos - member_at);
     Result<DecisionTree> tree = DeserializeTree(schema, member);
     if (!tree.ok()) {
       return Status::Corruption(StringPrintf(
@@ -84,7 +84,7 @@ Result<Forest> DeserializeForest(const Schema& schema,
     SMPTREE_RETURN_IF_ERROR(forest.AddTree(std::move(*tree)));
   }
 
-  if (!std::getline(in, line) || line != kForestTrailer) {
+  if (!NextLine(text, &pos, &view) || view != kForestTrailer) {
     return Status::Corruption(
         "forest truncated: missing 'end forest' trailer");
   }

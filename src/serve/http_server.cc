@@ -154,7 +154,7 @@ FrontEndStats HttpServer::Stats() const {
       pipelined_requests_.load(std::memory_order_relaxed);
   stats.backpressure_stalls =
       backpressure_stalls_.load(std::memory_order_relaxed);
-  stats.idle_timeouts = idle_timeouts_.load(std::memory_order_relaxed);
+  stats.idle_timeouts = idle_timeouts_.load(std::memory_order_acquire);
   stats.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   stats.deadline_entries =
       deadline_entries_.load(std::memory_order_relaxed);
@@ -467,8 +467,10 @@ void HttpServer::ExpireDeadlines(int64_t now_ms) {
       SetDeadline(conn, conn->deadline_ms);
       continue;
     }
-    idle_timeouts_.fetch_add(1, std::memory_order_relaxed);
     CloseConnection(conn);
+    // Counted after the close, with release: a Stats() reader that sees
+    // the timeout (acquire) also sees the connection gone.
+    idle_timeouts_.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +38,14 @@ std::vector<std::string> SplitString(std::string_view s, char delim) {
   return out;
 }
 
+bool NextLine(std::string_view text, size_t* pos, std::string_view* line) {
+  if (*pos >= text.size()) return false;
+  const size_t end = std::min(text.find('\n', *pos), text.size());
+  *line = text.substr(*pos, end - *pos);
+  *pos = end + 1;
+  return true;
+}
+
 std::string_view TrimWhitespace(std::string_view s) {
   size_t b = 0;
   size_t e = s.size();
@@ -58,24 +68,24 @@ bool ParseDouble(std::string_view s, double* out) {
 
 bool ParseInt64(std::string_view s, int64_t* out) {
   s = TrimWhitespace(s);
-  if (s.empty()) return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  // strtoll's grammar: one optional sign, then base-10 digits only.
+  const bool plus = !s.empty() && s[0] == '+';
+  if (plus) s.remove_prefix(1);
+  if (s.empty() || (plus && s[0] == '-')) return false;
+  int64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
   *out = v;
   return true;
 }
 
 bool ParseUint64(std::string_view s, uint64_t* out) {
   s = TrimWhitespace(s);
-  if (s.empty() || s[0] == '-') return false;
-  std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  if (!s.empty() && s[0] == '+') s.remove_prefix(1);
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
   *out = v;
   return true;
 }

@@ -18,6 +18,11 @@ std::string StringPrintf(const char* format, ...)
 /// Splits `s` on `delim`; keeps empty fields.
 std::vector<std::string> SplitString(std::string_view s, char delim);
 
+/// Reads the line of `text` that starts at `*pos` into `*line` (without its
+/// '\n'; the last line may lack one) and moves `*pos` past it. Returns false
+/// at the end of `text`, like std::getline at end of stream.
+bool NextLine(std::string_view text, size_t* pos, std::string_view* line);
+
 /// Trims ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 

@@ -71,11 +71,40 @@ TEST(ParseInt64Test, RejectsGarbage) {
   EXPECT_FALSE(ParseInt64("99999999999999999999999", &v));
 }
 
+TEST(ParseInt64Test, OneOptionalSign) {
+  int64_t v = 0;
+  EXPECT_TRUE(ParseInt64(" +7 ", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_FALSE(ParseInt64("+", &v));
+  EXPECT_FALSE(ParseInt64("+-7", &v));
+  EXPECT_FALSE(ParseInt64("--7", &v));
+  EXPECT_FALSE(ParseInt64("+ 7", &v));
+}
+
 TEST(ParseUint64Test, FullRangeAndSignRejection) {
   uint64_t v = 0;
   EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
   EXPECT_EQ(v, UINT64_MAX);
   EXPECT_FALSE(ParseUint64("-1", &v));
+  EXPECT_TRUE(ParseUint64("+9", &v));
+  EXPECT_EQ(v, 9u);
+  EXPECT_FALSE(ParseUint64("+-1", &v));
+  EXPECT_FALSE(ParseUint64("18446744073709551616", &v));
+}
+
+TEST(NextLineTest, SplitsLikeGetline) {
+  const std::string_view text = "a\n\nb c\nlast";
+  size_t pos = 0;
+  std::string_view line;
+  std::vector<std::string_view> lines;
+  while (NextLine(text, &pos, &line)) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string_view>{"a", "", "b c", "last"}));
+  pos = 0;
+  ASSERT_TRUE(NextLine("x\n", &pos, &line));
+  EXPECT_EQ(line, "x");
+  EXPECT_FALSE(NextLine("x\n", &pos, &line));
+  pos = 0;
+  EXPECT_FALSE(NextLine("", &pos, &line));
 }
 
 TEST(JoinStringsTest, JoinsWithSeparator) {
