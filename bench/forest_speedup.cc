@@ -1,8 +1,11 @@
 // Forest training sweep: trees x threads x inner algorithm x schedule on an
 // Agrawal function, reporting train time, the planner's thread split, and
 // the speedup vs the same configuration at P=1 -- the two-level-parallelism
-// evidence for the ensemble subsystem. A second section sweeps ensemble
-// size with bagging + feature sampling and reports OOB accuracy vs T.
+// evidence for the ensemble subsystem. The sorted engine runs once per
+// inner algorithm; the binned engine (which has no inner algorithm) runs
+// beside it, and its rows also report the one shared quantize + bin pass
+// that precedes its members. A second section sweeps ensemble size with
+// bagging + feature sampling and reports OOB accuracy vs T.
 //
 //   forest_speedup [--quick] [--trees 2,8] [--threads 1,2,4]
 //                  [--inner basic,mwk] [--function 5] [--tuples N]
@@ -40,12 +43,26 @@ struct Config {
 struct Run {
   int trees = 0;
   int threads = 0;
+  const char* engine = nullptr;
   const char* inner = nullptr;
   const char* schedule = nullptr;
   int concurrent_trees = 0;
   int inner_threads = 0;
   double train_seconds = 0;
+  double bin_seconds = 0;  ///< binned: the shared quantize + bin pass
   double oob_accuracy = -1;
+};
+
+/// One timed series: the sorted engine with an inner algorithm, or the
+/// binned engine.
+struct Variant {
+  Engine engine = Engine::kSorted;
+  Algorithm inner = Algorithm::kSerial;
+
+  /// The member algorithm name, as the folded stats report it.
+  const char* inner_name() const {
+    return engine == Engine::kBinned ? "BINNED" : AlgorithmName(inner);
+  }
 };
 
 constexpr ForestSchedule kSchedules[] = {ForestSchedule::kTreesFirst,
@@ -82,22 +99,23 @@ bool ParseAlgorithmList(const std::string& raw, std::vector<Algorithm>* out) {
   return !out->empty();
 }
 
-ForestOptions BaseOptions(Algorithm inner) {
+ForestOptions BaseOptions(Variant variant) {
   ForestOptions options;
   options.bootstrap = true;
   options.oob = false;  // the timed sweep measures training, not scoring
   options.features_per_node = 0;
-  options.tree.build.algorithm = inner;
+  options.tree.build.engine = variant.engine;
+  options.tree.build.algorithm = variant.inner;
   options.tree.build.num_threads = 1;
   return options;
 }
 
 /// Best (minimum train time) of `reps` runs.
-Run Measure(const Dataset& data, int trees, int threads, Algorithm inner,
+Run Measure(const Dataset& data, int trees, int threads, Variant variant,
             ForestSchedule schedule, int reps) {
   Run best;
   for (int r = 0; r < reps; ++r) {
-    ForestOptions options = BaseOptions(inner);
+    ForestOptions options = BaseOptions(variant);
     options.num_trees = trees;
     options.num_threads = threads;
     options.schedule = schedule;
@@ -110,11 +128,13 @@ Run Measure(const Dataset& data, int trees, int threads, Algorithm inner,
     if (r == 0 || result->stats.total_seconds < best.train_seconds) {
       best.trees = trees;
       best.threads = threads;
-      best.inner = AlgorithmName(inner);
+      best.engine = EngineName(variant.engine);
+      best.inner = variant.inner_name();
       best.schedule = ForestScheduleName(schedule);
       best.concurrent_trees = result->stats.split.concurrent_trees;
       best.inner_threads = result->stats.split.inner_threads;
       best.train_seconds = result->stats.total_seconds;
+      best.bin_seconds = result->stats.bin_seconds;
     }
   }
   return best;
@@ -128,7 +148,7 @@ std::vector<Run> SweepOob(const Dataset& data, const Config& config) {
   const int max_trees =
       *std::max_element(config.trees.begin(), config.trees.end());
   for (int trees = 1; trees <= max_trees; trees *= 2) {
-    ForestOptions options = BaseOptions(Algorithm::kSerial);
+    ForestOptions options = BaseOptions(Variant());
     options.num_trees = trees;
     options.oob = true;
     options.features_per_node = 4;
@@ -141,6 +161,7 @@ std::vector<Run> SweepOob(const Dataset& data, const Config& config) {
     Run run;
     run.trees = trees;
     run.threads = 1;
+    run.engine = EngineName(Engine::kSorted);
     run.inner = AlgorithmName(Algorithm::kSerial);
     run.schedule = "oob";
     run.concurrent_trees = 1;
@@ -169,12 +190,14 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
     out += StringPrintf(
-        "%s\n  {\"trees\": %d, \"threads\": %d, \"inner\": \"%s\", "
-        "\"schedule\": \"%s\", \"concurrent_trees\": %d, "
-        "\"inner_threads\": %d, \"train_seconds\": %.6f, "
+        "%s\n  {\"trees\": %d, \"threads\": %d, \"engine\": \"%s\", "
+        "\"inner\": \"%s\", \"schedule\": \"%s\", "
+        "\"concurrent_trees\": %d, \"inner_threads\": %d, "
+        "\"train_seconds\": %.6f, \"bin_seconds\": %.6f, "
         "\"oob_accuracy\": %.6f}",
-        i == 0 ? "" : ",", r.trees, r.threads, r.inner, r.schedule,
-        r.concurrent_trees, r.inner_threads, r.train_seconds, r.oob_accuracy);
+        i == 0 ? "" : ",", r.trees, r.threads, r.engine, r.inner, r.schedule,
+        r.concurrent_trees, r.inner_threads, r.train_seconds, r.bin_seconds,
+        r.oob_accuracy);
   }
   out += "\n]}\n";
   return out;
@@ -228,7 +251,7 @@ int Main(int argc, char** argv) {
   const Dataset data = MakeDataset(config.function, 9, tuples);
   // Warmup: fault in the dataset before any timed run.
   {
-    ForestOptions warm = BaseOptions(Algorithm::kSerial);
+    ForestOptions warm = BaseOptions(Variant());
     warm.num_trees = 1;
     auto warm_result = TrainForest(data, warm);
     if (!warm_result.ok()) {
@@ -238,16 +261,22 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<Run> runs;
+  std::vector<Variant> variants;
   for (Algorithm inner : config.inner) {
+    variants.push_back({Engine::kSorted, inner});
+  }
+  variants.push_back({Engine::kBinned, Algorithm::kSerial});
+
+  std::vector<Run> runs;
+  for (const Variant& variant : variants) {
     for (ForestSchedule schedule : kSchedules) {
       TablePrinter table(
-          {"T", "P", "split (CxI)", "train s", "speedup"});
+          {"T", "P", "split (CxI)", "train s", "bin s", "speedup"});
       for (int trees : config.trees) {
         double base = 0;
         for (int threads : config.threads) {
           const Run run =
-              Measure(data, trees, threads, inner, schedule, reps);
+              Measure(data, trees, threads, variant, schedule, reps);
           if (threads == config.threads.front() && threads == 1) {
             base = run.train_seconds;
           }
@@ -257,13 +286,15 @@ int Main(int argc, char** argv) {
           table.AddRow({Fmt("%d", trees), Fmt("%d", threads),
                         Fmt("%dx%d", run.concurrent_trees, run.inner_threads),
                         Fmt("%.4f", run.train_seconds),
+                        Fmt("%.4f", run.bin_seconds),
                         base > 0 ? Fmt("%.2f", speedup) : "n/a"});
           runs.push_back(run);
         }
       }
-      std::printf("\nF%d, %lld tuples, inner %s, schedule %s:\n",
+      std::printf("\nF%d, %lld tuples, %s engine, inner %s, schedule %s:\n",
                   config.function, static_cast<long long>(tuples),
-                  AlgorithmName(inner), ForestScheduleName(schedule));
+                  EngineName(variant.engine), variant.inner_name(),
+                  ForestScheduleName(schedule));
       table.Print();
     }
   }

@@ -81,6 +81,7 @@ Status VerifyLeafBins(const Quantizer& quantizer, const BinnedLeaf& leaf) {
 
 Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
                        const BinMatrix& bin_matrix,
+                       std::span<const int32_t> weights,
                        const BuildOptions& options, DecisionTree* tree,
                        BuildCounters* counters,
                        std::vector<LevelTraceEntry>* level_trace) {
@@ -94,9 +95,27 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
     return Status::InvalidArgument(
         "quantizer/bin matrix do not match the dataset");
   }
+  const bool weighted = !weights.empty();
+  if (weighted && static_cast<int64_t>(weights.size()) != n) {
+    return Status::InvalidArgument(StringPrintf(
+        "%zu row weights for %lld rows", weights.size(),
+        static_cast<long long>(n)));
+  }
 
+  // Rows of weight 0 start outside the frontier (leaf_of = -1), so no
+  // phase ever reads them again.
+  const std::span<const ClassLabel> labels = data.labels();
   ClassHistogram root_hist(num_classes);
-  for (ClassLabel l : data.labels()) root_hist.Add(l);
+  std::vector<int32_t> leaf_of(static_cast<size_t>(n), 0);
+  for (int64_t t = 0; t < n; ++t) {
+    const int32_t w = weighted ? weights[static_cast<size_t>(t)] : 1;
+    if (w < 0) {
+      return Status::InvalidArgument(StringPrintf(
+          "row %lld has negative weight %d", static_cast<long long>(t), w));
+    }
+    if (w == 0) leaf_of[static_cast<size_t>(t)] = -1;
+    root_hist.Add(labels[static_cast<size_t>(t)], w);
+  }
   tree->CreateRoot(root_hist);
 
   if (FinalizedAsLeaf(root_hist, 0, options.min_split, options.max_levels)) {
@@ -111,7 +130,6 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
   std::vector<BinnedLeaf> frontier;
   std::vector<BinnedLeaf> prev;
   std::vector<BinnedLeaf> next;
-  std::vector<int32_t> leaf_of(static_cast<size_t>(n), 0);
   std::vector<std::vector<int>> scan_batches;  // frontier indices per batch
   std::vector<int> subtract_leaves;            // frontier indices
   std::vector<int> slot_of_frontier;  // frontier index -> batch slot or -1
@@ -185,13 +203,16 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
   std::atomic<bool> done{false};
   std::vector<std::vector<LeafHistogram>> locals(
       static_cast<size_t>(threads));
-  const std::span<const ClassLabel> labels = data.labels();
 
   auto worker = [&](int tid) {
     TraceThreadBinding trace(options.trace, tid);
     GiniScratch scratch;
+    // The rows of one chunk that belong to a scan leaf, packed: offset in
+    // the chunk, batch slot, label and weight.
+    std::vector<int32_t> row_buf(static_cast<size_t>(kChunkRecords));
     std::vector<int32_t> slot_buf(static_cast<size_t>(kChunkRecords));
     std::vector<ClassLabel> label_buf(static_cast<size_t>(kChunkRecords));
+    std::vector<int32_t> weight_buf(static_cast<size_t>(kChunkRecords));
     std::vector<LeafHistogram>& local = locals[static_cast<size_t>(tid)];
     int level_no = 0;
     while (!done.load(std::memory_order_acquire)) {
@@ -213,25 +234,26 @@ Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
                ci = h_sched.Next()) {
             const int64_t lo = ci * kChunkRecords;
             const int64_t hi = std::min(n, lo + kChunkRecords);
-            int64_t present = 0;
+            size_t present = 0;
             for (int64_t t = lo; t < hi; ++t) {
               const int32_t li = leaf_of[static_cast<size_t>(t)];
-              const int32_t slot =
-                  li >= 0 ? slot_of_frontier[static_cast<size_t>(li)] : -1;
-              slot_buf[static_cast<size_t>(t - lo)] = slot;
-              label_buf[static_cast<size_t>(t - lo)] =
-                  labels[static_cast<size_t>(t)];
-              if (slot >= 0) ++present;
+              if (li < 0) continue;
+              const int32_t slot = slot_of_frontier[static_cast<size_t>(li)];
+              if (slot < 0) continue;
+              row_buf[present] = static_cast<int32_t>(t - lo);
+              slot_buf[present] = slot;
+              label_buf[present] = labels[static_cast<size_t>(t)];
+              weight_buf[present] =
+                  weighted ? weights[static_cast<size_t>(t)] : 1;
+              ++present;
             }
             if (present == 0) continue;
             for (int a = 0; a < num_attrs; ++a) {
               const uint8_t* col = bin_matrix.column(a) + lo;
               const int off = quantizer.offset(a);
-              for (int64_t i = 0; i < hi - lo; ++i) {
-                const int32_t slot = slot_buf[static_cast<size_t>(i)];
-                if (slot < 0) continue;
-                local[static_cast<size_t>(slot)].Add(
-                    off + col[i], label_buf[static_cast<size_t>(i)]);
+              for (size_t i = 0; i < present; ++i) {
+                local[static_cast<size_t>(slot_buf[i])].Add(
+                    off + col[row_buf[i]], label_buf[i], weight_buf[i]);
               }
             }
             counters->records_scanned.fetch_add(

@@ -27,6 +27,8 @@
 #ifndef SMPTREE_BINNED_BINNED_BUILDER_H_
 #define SMPTREE_BINNED_BINNED_BUILDER_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "binned/quantizer.h"
@@ -39,14 +41,21 @@
 namespace smptree {
 
 /// Grows `tree` (which must be empty) from `data` using the binned engine.
-/// `quantizer`/`bin_matrix` must have been built from the same dataset.
+/// `bin_matrix` must hold `data` mapped through `quantizer`; the cuts may
+/// come from `data` itself (a single tree) or from a larger set the rows
+/// were drawn from (a forest member over the forest's shared bins).
+/// `weights` is empty (every row counts once) or holds one multiplicity per
+/// row: a row of weight w counts as w copies in every histogram and class
+/// count, and a row of weight 0 never enters the tree -- so a bootstrap
+/// bag's draw counts grow exactly the tree the materialized bag would.
 /// Honors options.num_threads / min_split / max_levels / feature_sampling /
-/// gini / max_bins / trace; ignores the sorted engine's algorithm, window,
-/// and storage options. H-phase compute lands in counters->h_nanos and
-/// bins_scanned counts the boundaries examined by E (the O(bins) work unit).
-/// Appends one LevelTraceEntry per processed level to `level_trace`.
+/// gini / trace; ignores the sorted engine's algorithm, window, and storage
+/// options. H-phase compute lands in counters->h_nanos and bins_scanned
+/// counts the boundaries examined by E (the O(bins) work unit). Appends one
+/// LevelTraceEntry per processed level to `level_trace`.
 Status BuildTreeBinned(const Dataset& data, const Quantizer& quantizer,
                        const BinMatrix& bin_matrix,
+                       std::span<const int32_t> weights,
                        const BuildOptions& options, DecisionTree* tree,
                        BuildCounters* counters,
                        std::vector<LevelTraceEntry>* level_trace);

@@ -42,8 +42,9 @@ class LeafHistogram {
   int total_bins() const { return total_bins_; }
   int num_classes() const { return num_classes_; }
 
-  void Add(int flat_bin, ClassLabel cls) {
-    ++counts_[static_cast<size_t>(flat_bin) * num_classes_ + cls];
+  /// Counts `count` tuples of class `cls` into bin `flat_bin`.
+  void Add(int flat_bin, ClassLabel cls, int64_t count = 1) {
+    counts_[static_cast<size_t>(flat_bin) * num_classes_ + cls] += count;
   }
 
   int64_t count(int flat_bin, int cls) const {

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "core/gini.h"
+#include "parallel/scheduler.h"
 #include "util/string_util.h"
 
 namespace smptree {
@@ -77,34 +78,34 @@ Quantizer Quantizer::FromCuts(const Schema& schema,
   return q;
 }
 
-Status Quantizer::Build(const Dataset& data, int max_bins) {
+Status Quantizer::Build(const Dataset& data, int max_bins, int num_threads) {
   if (max_bins < 2 || max_bins > 256) {
     return Status::InvalidArgument("max_bins outside [2,256]");
   }
   const int num_attrs = data.num_attrs();
-  std::vector<std::vector<float>> cuts(static_cast<size_t>(num_attrs));
-  std::vector<float> scratch;
   for (int a = 0; a < num_attrs; ++a) {
     const AttrInfo& info = data.schema().attr(a);
-    if (info.is_categorical()) {
-      if (info.cardinality > max_bins) {
-        return Status::NotSupported(StringPrintf(
-            "binned engine: categorical attribute '%s' has cardinality %d > "
-            "max_bins %d",
-            info.name.c_str(), info.cardinality, max_bins));
-      }
-      continue;
+    if (info.is_categorical() && info.cardinality > max_bins) {
+      return Status::NotSupported(StringPrintf(
+          "binned engine: categorical attribute '%s' has cardinality %d > "
+          "max_bins %d",
+          info.name.c_str(), info.cardinality, max_bins));
     }
-    const std::span<const AttrValue> column = data.column(a);
-    scratch.resize(column.size());
-    for (size_t i = 0; i < column.size(); ++i) scratch[i] = column[i].f;
-    cuts[static_cast<size_t>(a)] = ContinuousCuts(&scratch, max_bins);
   }
+  std::vector<std::vector<float>> cuts(static_cast<size_t>(num_attrs));
+  ParallelFor(num_threads, num_attrs, [&](int64_t a) {
+    if (data.schema().attr(static_cast<int>(a)).is_categorical()) return;
+    const std::span<const AttrValue> column = data.column(static_cast<int>(a));
+    std::vector<float> values(column.size());
+    for (size_t i = 0; i < column.size(); ++i) values[i] = column[i].f;
+    cuts[static_cast<size_t>(a)] = ContinuousCuts(&values, max_bins);
+  });
   *this = FromCuts(data.schema(), std::move(cuts));
   return Status::OK();
 }
 
-Status BinMatrix::Materialize(const Dataset& data, const Quantizer& quantizer) {
+Status BinMatrix::Materialize(const Dataset& data, const Quantizer& quantizer,
+                              int num_threads) {
   if (quantizer.num_attrs() != data.num_attrs()) {
     return Status::InvalidArgument("quantizer/dataset attribute mismatch");
   }
@@ -112,24 +113,31 @@ Status BinMatrix::Materialize(const Dataset& data, const Quantizer& quantizer) {
   num_attrs_ = data.num_attrs();
   codes_.resize(static_cast<size_t>(num_attrs_) *
                 static_cast<size_t>(num_tuples_));
-  for (int a = 0; a < num_attrs_; ++a) {
+  // One status per column: each task writes only its own slot and column.
+  std::vector<Status> errors(static_cast<size_t>(num_attrs_));
+  ParallelFor(num_threads, num_attrs_, [&](int64_t task) {
+    const int a = static_cast<int>(task);
     const std::span<const AttrValue> column = data.column(a);
     uint8_t* out = codes_.data() + static_cast<size_t>(a) * num_tuples_;
-    if (quantizer.categorical(a)) {
-      for (int64_t t = 0; t < num_tuples_; ++t) {
-        const int32_t code = column[static_cast<size_t>(t)].cat;
-        if (code < 0 || code >= quantizer.num_bins(a)) {
-          return Status::Corruption(StringPrintf(
-              "categorical code %d of attribute %d outside [0,%d)", code, a,
-              quantizer.num_bins(a)));
-        }
-        out[t] = static_cast<uint8_t>(code);
-      }
-    } else {
+    if (!quantizer.categorical(a)) {
       for (int64_t t = 0; t < num_tuples_; ++t) {
         out[t] = quantizer.BinOf(a, column[static_cast<size_t>(t)]);
       }
+      return;
     }
+    for (int64_t t = 0; t < num_tuples_; ++t) {
+      const int32_t code = column[static_cast<size_t>(t)].cat;
+      if (code < 0 || code >= quantizer.num_bins(a)) {
+        errors[static_cast<size_t>(a)] = Status::Corruption(StringPrintf(
+            "categorical code %d of attribute %d outside [0,%d)", code, a,
+            quantizer.num_bins(a)));
+        return;
+      }
+      out[t] = static_cast<uint8_t>(code);
+    }
+  });
+  for (Status& error : errors) {
+    if (!error.ok()) return std::move(error);
   }
   return Status::OK();
 }

@@ -56,7 +56,9 @@ class Quantizer {
   /// boundaries, or exact adjacent-distinct midpoints when the attribute has
   /// at most max_bins distinct values. Deterministic given the data: cut
   /// placement uses only sorted value order, never hashing or sampling.
-  Status Build(const Dataset& data, int max_bins);
+  /// Up to `num_threads` threads each take whole attributes; the cuts do
+  /// not depend on the thread count.
+  Status Build(const Dataset& data, int max_bins, int num_threads = 1);
 
   int num_attrs() const { return static_cast<int>(attrs_.size()); }
   bool categorical(int attr) const { return attrs_[attr].categorical; }
@@ -103,8 +105,11 @@ class Quantizer {
 /// per attribute (the builder's H-phase access pattern).
 class BinMatrix {
  public:
-  /// Maps every value of `data` through `quantizer`.
-  Status Materialize(const Dataset& data, const Quantizer& quantizer);
+  /// Maps every value of `data` through `quantizer`, one whole column per
+  /// task on up to `num_threads` threads. Once built the matrix is
+  /// read-only, so any number of trees may scan it concurrently.
+  Status Materialize(const Dataset& data, const Quantizer& quantizer,
+                     int num_threads = 1);
 
   int64_t num_tuples() const { return num_tuples_; }
   int num_attrs() const { return num_attrs_; }

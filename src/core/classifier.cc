@@ -60,32 +60,22 @@ void FoldCounters(const BuildCounters& counters, TrainStats* stats) {
           std::memory_order_relaxed)) / 1e9;
 }
 
-// The binned-engine path: quantize, materialize the bin matrix, grow the
-// tree breadth-first over per-leaf histograms. No attribute lists, no
-// scratch files -- records_read/written stay 0.
+}  // namespace
+
 Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
+                                          const Quantizer& quantizer,
+                                          const BinMatrix& bins,
+                                          std::span<const int32_t> weights,
                                           const ClassifierOptions& options) {
+  SMPTREE_RETURN_IF_ERROR(options.build.Validate());
   TrainResult result;
   result.tree = std::make_unique<DecisionTree>(data.schema());
   BuildCounters counters;
 
   Timer total;
-
-  // Quantization stands in for the sort phase (it sorts each continuous
-  // column once to place cuts); materialization stands in for attribute-list
-  // setup, so the Table 1 style columns stay comparable across engines.
-  Timer sort_timer;
-  Quantizer quantizer;
-  SMPTREE_RETURN_IF_ERROR(quantizer.Build(data, options.build.max_bins));
-  result.stats.sort_seconds = sort_timer.Seconds();
-  Timer setup_timer;
-  BinMatrix matrix;
-  SMPTREE_RETURN_IF_ERROR(matrix.Materialize(data, quantizer));
-  result.stats.setup_seconds = setup_timer.Seconds();
-
   Timer build_timer;
   SMPTREE_RETURN_IF_ERROR(
-      BuildTreeBinned(data, quantizer, matrix, options.build,
+      BuildTreeBinned(data, quantizer, bins, weights, options.build,
                       result.tree.get(), &counters,
                       &result.stats.level_trace));
   result.stats.build_seconds = build_timer.Seconds();
@@ -105,8 +95,6 @@ Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
   return result;
 }
 
-}  // namespace
-
 Result<TrainResult> TrainClassifier(const Dataset& data,
                                     const ClassifierOptions& options) {
   SMPTREE_RETURN_IF_ERROR(options.build.Validate());
@@ -115,7 +103,26 @@ Result<TrainResult> TrainClassifier(const Dataset& data,
     return Status::InvalidArgument("empty training set");
   }
   if (options.build.engine == Engine::kBinned) {
-    return TrainBinnedClassifier(data, options);
+    // Quantization stands in for the sort phase (it sorts each continuous
+    // column once to place cuts); materialization stands in for
+    // attribute-list setup, so the Table 1 style columns stay comparable
+    // across engines. No attribute lists, no scratch files --
+    // records_read/written stay 0.
+    Timer sort_timer;
+    Quantizer quantizer;
+    SMPTREE_RETURN_IF_ERROR(quantizer.Build(data, options.build.max_bins));
+    const double sort_seconds = sort_timer.Seconds();
+    Timer setup_timer;
+    BinMatrix bins;
+    SMPTREE_RETURN_IF_ERROR(bins.Materialize(data, quantizer));
+    const double setup_seconds = setup_timer.Seconds();
+    SMPTREE_ASSIGN_OR_RETURN(
+        TrainResult result,
+        TrainBinnedClassifier(data, quantizer, bins, {}, options));
+    result.stats.sort_seconds = sort_seconds;
+    result.stats.setup_seconds = setup_seconds;
+    result.stats.total_seconds += sort_seconds + setup_seconds;
+    return result;
   }
 
   TrainResult result;

@@ -14,7 +14,9 @@
 #ifndef SMPTREE_CORE_CLASSIFIER_H_
 #define SMPTREE_CORE_CLASSIFIER_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 
 #include "core/build_stats.h"
 #include "core/builder_context.h"
@@ -24,6 +26,9 @@
 #include "util/status.h"
 
 namespace smptree {
+
+class BinMatrix;
+class Quantizer;
 
 /// Training configuration: growth options plus pruning.
 struct ClassifierOptions {
@@ -80,6 +85,17 @@ struct TrainResult {
 /// the selected build algorithm + optional pruning.
 Result<TrainResult> TrainClassifier(const Dataset& data,
                                     const ClassifierOptions& options);
+
+/// The binned engine's build + prune over bins made beforehand: `bins` is
+/// `data` mapped through `quantizer`, and `weights` gives each row's
+/// multiplicity (empty: every row once; see BuildTreeBinned). A forest
+/// quantizes its training set once and trains every member here on its
+/// bootstrap draw counts. setup/sort seconds are 0: the caller did them.
+Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
+                                          const Quantizer& quantizer,
+                                          const BinMatrix& bins,
+                                          std::span<const int32_t> weights,
+                                          const ClassifierOptions& options);
 
 }  // namespace smptree
 

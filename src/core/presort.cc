@@ -1,10 +1,8 @@
 #include "core/presort.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
-#include <thread>
 
+#include "parallel/scheduler.h"
 #include "util/timer.h"
 
 namespace smptree {
@@ -22,38 +20,13 @@ Result<AttributeLists> BuildAttributeLists(const Dataset& data,
   AttributeLists out;
   Timer timer;
 
-  // Runs `work(i)` for every i in [0, count) on up to `max_threads`
-  // threads, dynamically scheduled (one unit per attribute; list lengths
-  // are equal but per-attribute cost varies with value distribution).
-  const auto parallel_for = [](int max_threads, size_t count,
-                               const std::function<void(size_t)>& work) {
-    if (max_threads <= 1 || count <= 1) {
-      for (size_t i = 0; i < count; ++i) work(i);
-      return;
-    }
-    std::atomic<size_t> next{0};
-    const int workers = std::min<int>(max_threads, static_cast<int>(count));
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
-        for (;;) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= count) return;
-          work(i);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-  };
-
   // Setup phase: materialize (value, class, tid) records per attribute.
   // Attributes are independent columns, so the materialization loop uses
   // the same per-attribute dynamic scheduling as the sort phase below.
   const int num_attrs = data.num_attrs();
   const int64_t n = data.num_tuples();
   out.lists.resize(num_attrs);
-  parallel_for(sort_threads, static_cast<size_t>(num_attrs), [&](size_t a) {
+  ParallelFor(sort_threads, num_attrs, [&](int64_t a) {
     auto& list = out.lists[a];
     list.resize(n);
     const auto column = data.column(static_cast<int>(a));
@@ -73,7 +46,8 @@ Result<AttributeLists> BuildAttributeLists(const Dataset& data,
   for (int a = 0; a < num_attrs; ++a) {
     if (!data.schema().attr(a).is_categorical()) continuous.push_back(a);
   }
-  parallel_for(sort_threads, continuous.size(), [&](size_t i) {
+  ParallelFor(sort_threads, static_cast<int64_t>(continuous.size()),
+              [&](int64_t i) {
     std::sort(out.lists[continuous[i]].begin(),
               out.lists[continuous[i]].end(), ContinuousRecordLess());
   });

@@ -8,21 +8,18 @@
 
 namespace smptree {
 
-DecisionTree::DecisionTree(Schema schema)
-    : schema_(std::move(schema)),
-      chunks_(
-          std::make_unique<std::array<std::atomic<TreeNode*>, kMaxChunks>>()) {
-  for (auto& chunk : *chunks_) {
-    chunk.store(nullptr, std::memory_order_relaxed);
-  }
-}
+DecisionTree::DecisionTree(Schema schema) : schema_(std::move(schema)) {}
 
 DecisionTree::DecisionTree(DecisionTree&& other) noexcept NO_THREAD_SAFETY_ANALYSIS
     : schema_(std::move(other.schema_)),
-      chunks_(std::move(other.chunks_)),
+      table_(other.table_.load(std::memory_order_relaxed)),
+      table_capacity_(other.table_capacity_),
+      tables_(std::move(other.tables_)),
       owned_chunks_(std::move(other.owned_chunks_)),
       size_(other.size_.load(std::memory_order_relaxed)),
       grow_mutex_(std::move(other.grow_mutex_)) {
+  other.table_.store(nullptr, std::memory_order_relaxed);
+  other.table_capacity_ = 0;
   other.size_.store(0, std::memory_order_relaxed);
 }
 
@@ -30,30 +27,58 @@ DecisionTree& DecisionTree::operator=(DecisionTree&& other) noexcept
     NO_THREAD_SAFETY_ANALYSIS {
   if (this != &other) {
     schema_ = std::move(other.schema_);
-    chunks_ = std::move(other.chunks_);
+    table_.store(other.table_.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    table_capacity_ = other.table_capacity_;
+    tables_ = std::move(other.tables_);
     owned_chunks_ = std::move(other.owned_chunks_);
     size_.store(other.size_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     grow_mutex_ = std::move(other.grow_mutex_);
+    other.table_.store(nullptr, std::memory_order_relaxed);
+    other.table_capacity_ = 0;
     other.size_.store(0, std::memory_order_relaxed);
   }
   return *this;
+}
+
+void DecisionTree::GrowTable() {
+  // Caller holds grow_mutex_.
+  const int64_t capacity =
+      table_capacity_ == 0 ? kInitialChunks : 2 * table_capacity_;
+  ChunkTable grown =
+      std::make_unique<std::atomic<TreeNode*>[]>(static_cast<size_t>(capacity));
+  const std::atomic<TreeNode*>* old = table_.load(std::memory_order_relaxed);
+  for (int64_t i = 0; i < capacity; ++i) {
+    grown[static_cast<size_t>(i)].store(
+        i < table_capacity_
+            ? old[static_cast<size_t>(i)].load(std::memory_order_relaxed)
+            : nullptr,
+        std::memory_order_relaxed);
+  }
+  // Publish the filled copy; readers that still hold the old table keep
+  // reading it, which tables_ keeps alive.
+  table_.store(grown.get(), std::memory_order_release);
+  tables_.push_back(std::move(grown));
+  table_capacity_ = capacity;
 }
 
 NodeId DecisionTree::Append(TreeNode node) {
   // Caller holds grow_mutex_.
   const int64_t id = size_.load(std::memory_order_relaxed);
   assert(id < kMaxChunks * kChunkSize && "node arena capacity exceeded");
-  const size_t chunk_index = static_cast<size_t>(id) >> kChunkBits;
-  TreeNode* chunk =
-      (*chunks_)[chunk_index].load(std::memory_order_relaxed);
+  const int64_t chunk_index = id >> kChunkBits;
+  if (chunk_index >= table_capacity_) GrowTable();
+  std::atomic<TreeNode*>& entry =
+      table_.load(std::memory_order_relaxed)[static_cast<size_t>(chunk_index)];
+  TreeNode* chunk = entry.load(std::memory_order_relaxed);
   if (chunk == nullptr) {
     auto fresh = std::make_unique<TreeNode[]>(kChunkSize);
     chunk = fresh.get();
     owned_chunks_.push_back(std::move(fresh));
     // Publish the chunk before the size so readers that observe the new
     // size always find the chunk pointer.
-    (*chunks_)[chunk_index].store(chunk, std::memory_order_release);
+    entry.store(chunk, std::memory_order_release);
   }
   chunk[id & kChunkMask] = std::move(node);
   size_.store(id + 1, std::memory_order_release);

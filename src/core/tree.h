@@ -23,7 +23,6 @@
 #ifndef SMPTREE_CORE_TREE_H_
 #define SMPTREE_CORE_TREE_H_
 
-#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdint>
@@ -141,22 +140,34 @@ class DecisionTree {
   std::string ToString() const;
 
  private:
-  // Chunked arena: node id -> chunks_[id >> kChunkBits][id & kChunkMask].
-  // Readers load the chunk pointer with acquire and never touch any mutable
-  // map structure; AddChild allocates chunks under the mutex and publishes
-  // them with release stores. Capacity: kMaxChunks * kChunkSize nodes.
+  // Chunked arena: node id -> chunk id >> kChunkBits, slot id & kChunkMask.
+  // The chunk pointers live in a table sized by the tree: it starts at
+  // kInitialChunks entries and grows under grow_mutex_ by publishing a
+  // doubled copy with a release store. Readers load the table, then the
+  // chunk pointer, both with acquire, and never take the lock. Retired
+  // tables stay allocated until destruction, so a reader still holding an
+  // older table reads valid entries (chunks never move). Capacity:
+  // kMaxChunks * kChunkSize nodes.
   static constexpr int kChunkBits = 10;
   static constexpr int64_t kChunkSize = int64_t{1} << kChunkBits;
   static constexpr int64_t kChunkMask = kChunkSize - 1;
+  static constexpr int64_t kInitialChunks = 4;
   static constexpr int64_t kMaxChunks = int64_t{1} << 14;  // 16M nodes
+
+  using ChunkTable = std::unique_ptr<std::atomic<TreeNode*>[]>;
 
   TreeNode* Slot(NodeId id) const {
     assert(id >= 0 && id < num_nodes());
     TreeNode* chunk =
-        (*chunks_)[static_cast<size_t>(id) >> kChunkBits].load(
-            std::memory_order_acquire);
+        table_.load(std::memory_order_acquire)[static_cast<size_t>(id) >>
+                                               kChunkBits]
+            .load(std::memory_order_acquire);
     return chunk + (id & kChunkMask);
   }
+
+  /// Publishes a chunk table of twice the capacity (kInitialChunks for the
+  /// first) holding every chunk pointer published so far.
+  void GrowTable() REQUIRES(*grow_mutex_);
 
   /// Appends a node (arena slot + id) under grow_mutex_.
   NodeId Append(TreeNode node) REQUIRES(*grow_mutex_);
@@ -166,9 +177,13 @@ class DecisionTree {
 
   // lint: unguarded(set at construction/load; immutable while shared)
   Schema schema_;
-  // Heap-allocated so DecisionTree stays movable (builders never move a
-  // tree while growing it).
-  std::unique_ptr<std::array<std::atomic<TreeNode*>, kMaxChunks>> chunks_;
+  // The current chunk table (null until the first node); the tables live
+  // in tables_, so a move hands them over (builders never move a tree while
+  // growing it).
+  std::atomic<std::atomic<TreeNode*>*> table_{nullptr};
+  int64_t table_capacity_ GUARDED_BY(*grow_mutex_) = 0;
+  /// Every table published, the current one last.
+  std::vector<ChunkTable> tables_ GUARDED_BY(*grow_mutex_);
   std::vector<std::unique_ptr<TreeNode[]>> owned_chunks_
       GUARDED_BY(*grow_mutex_);
   std::atomic<int64_t> size_{0};

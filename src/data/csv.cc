@@ -96,6 +96,10 @@ Result<Dataset> ParseCsv(const Schema& schema, std::istream& in) {
     for (int a = 0; a < schema.num_attrs(); ++a) {
       SMPTREE_RETURN_IF_ERROR(
           ParseValue(schema, a, TrimWhitespace(fields[a]), &values[a]));
+      if (!schema.attr(a).is_categorical()) {
+        SMPTREE_RETURN_IF_ERROR(
+            CheckContinuousValue(schema.attr(a), line_no, values[a].f));
+      }
     }
     const std::string_view label_text = TrimWhitespace(fields.back());
     int label = -1;

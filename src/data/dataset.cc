@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <cmath>
+
 #include "util/string_util.h"
 
 namespace smptree {
@@ -47,6 +49,14 @@ uint64_t Dataset::SizeBytes() const {
   return static_cast<uint64_t>(num_tuples_) *
          (static_cast<uint64_t>(num_attrs()) * sizeof(AttrValue) +
           sizeof(ClassLabel));
+}
+
+Status CheckContinuousValue(const AttrInfo& info, int64_t row, float value) {
+  if (std::isfinite(value)) return Status::OK();
+  return Status::InvalidArgument(StringPrintf(
+      "row %lld: non-finite continuous value '%g' for attribute '%s'",
+      static_cast<long long>(row), static_cast<double>(value),
+      info.name.c_str()));
 }
 
 Status Dataset::Validate() const {

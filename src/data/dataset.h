@@ -69,6 +69,14 @@ class Dataset {
   int64_t num_tuples_ = 0;
 };
 
+/// Rejects a continuous value the trainers cannot order: NaN or an
+/// infinity, including finite input text that overflows when narrowed to
+/// float (1e300). Readers call it on every continuous value they load;
+/// `row` is the row number the error names beside the attribute (the CSV
+/// reader passes its line number). The missing-value sentinel is finite
+/// and passes.
+Status CheckContinuousValue(const AttrInfo& info, int64_t row, float value);
+
 }  // namespace smptree
 
 #endif  // SMPTREE_DATA_DATASET_H_

@@ -65,17 +65,22 @@ Result<TrainTestSplit> StratifiedSplitTrainTest(const Dataset& data,
   return split;
 }
 
+std::vector<int32_t> BootstrapCounts(int64_t n, uint64_t seed) {
+  std::vector<int32_t> draws(static_cast<size_t>(n), 0);
+  Random rng(seed);
+  for (int64_t i = 0; i < n; ++i) {
+    ++draws[static_cast<size_t>(rng.Uniform(static_cast<uint64_t>(n)))];
+  }
+  return draws;
+}
+
 Result<BootstrapResult> BootstrapSample(const Dataset& data, uint64_t seed) {
   const int64_t n = data.num_tuples();
   if (n == 0) return Status::InvalidArgument("empty dataset");
   // Draw counts per source tuple, then emit draws in source order: the
   // resample content depends only on the multiset of draws, and the sorted
   // order makes equal-seed resamples byte-identical however they are built.
-  std::vector<int32_t> draws(static_cast<size_t>(n), 0);
-  Random rng(seed);
-  for (int64_t i = 0; i < n; ++i) {
-    ++draws[static_cast<size_t>(rng.Uniform(static_cast<uint64_t>(n)))];
-  }
+  const std::vector<int32_t> draws = BootstrapCounts(n, seed);
   BootstrapResult result{Dataset(data.schema()),
                          std::vector<bool>(static_cast<size_t>(n), false)};
   result.sample.Reserve(n);

@@ -32,6 +32,12 @@ Result<TrainTestSplit> StratifiedSplitTrainTest(const Dataset& data,
                                                 double test_fraction,
                                                 uint64_t seed);
 
+/// How often each of `n` tuples is drawn by `n` uniform draws with
+/// replacement: the bootstrap bag as per-tuple multiplicities (they sum to
+/// n; 0 marks an out-of-bag tuple). Deterministic in `seed`, and the draws
+/// BootstrapSample materializes for the same (n, seed).
+std::vector<int32_t> BootstrapCounts(int64_t n, uint64_t seed);
+
 /// A with-replacement bootstrap resample of a dataset plus the complement
 /// mask the resample did not touch (the ensemble builder's out-of-bag set).
 struct BootstrapResult {

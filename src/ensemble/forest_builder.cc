@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "binned/quantizer.h"
 #include "core/build_stats.h"
 #include "data/sampling.h"
 #include "util/string_util.h"
@@ -13,15 +14,6 @@
 namespace smptree {
 
 namespace {
-
-/// splitmix64 finalizer over (seed, member index): one well-mixed,
-/// index-decorrelated seed per member regardless of build order.
-uint64_t MemberSeed(uint64_t seed, int member) {
-  uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(member) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 /// Folds the members' BuildStats into one record the existing tooling
 /// (--stats-out, /statz, bench_to_json) consumes unchanged: counters and
@@ -61,6 +53,13 @@ BuildStats FoldBuildStats(const std::vector<TrainStats>& members,
 }
 
 }  // namespace
+
+uint64_t ForestMemberSeed(uint64_t seed, int member) {
+  uint64_t z = seed + 0x9E3779B97F4A7C15ull * (static_cast<uint64_t>(member) + 1);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 const char* ForestScheduleName(ForestSchedule schedule) {
   switch (schedule) {
@@ -123,6 +122,7 @@ Status ForestOptions::Validate() const {
 Result<ForestTrainResult> TrainForest(const Dataset& data,
                                       const ForestOptions& options) {
   SMPTREE_RETURN_IF_ERROR(options.Validate());
+  SMPTREE_RETURN_IF_ERROR(data.schema().Validate());
   if (data.num_tuples() < 1) {
     return Status::InvalidArgument("cannot train a forest on an empty dataset");
   }
@@ -132,6 +132,24 @@ Result<ForestTrainResult> TrainForest(const Dataset& data,
       T, options.num_threads, options.schedule, options.concurrent_trees);
 
   Timer total_timer;
+  const int64_t n = data.num_tuples();
+
+  // Binned engine: one quantizer and one bin matrix for the whole forest,
+  // built by every forest thread (whole attributes each) before any member
+  // starts. Members then differ only in their row weights -- the bootstrap
+  // draw counts -- and read the matrix concurrently; nothing mutates it.
+  const bool shared_bins = options.tree.build.engine == Engine::kBinned;
+  Quantizer quantizer;
+  BinMatrix bins;
+  double bin_seconds = 0.0;
+  if (shared_bins) {
+    Timer bin_timer;
+    SMPTREE_RETURN_IF_ERROR(quantizer.Build(
+        data, options.tree.build.max_bins, options.num_threads));
+    SMPTREE_RETURN_IF_ERROR(
+        bins.Materialize(data, quantizer, options.num_threads));
+    bin_seconds = bin_timer.Seconds();
+  }
 
   // Per-member result slots: each worker writes only its own indices, and
   // the joins below order every write before the fold reads them.
@@ -141,7 +159,7 @@ Result<ForestTrainResult> TrainForest(const Dataset& data,
   std::vector<Status> errors(static_cast<size_t>(T));
 
   auto train_member = [&](int i) {
-    const uint64_t member_seed = MemberSeed(options.seed, i);
+    const uint64_t member_seed = ForestMemberSeed(options.seed, i);
 
     ClassifierOptions member_options = options.tree;
     member_options.build.num_threads = split.inner_threads;
@@ -155,7 +173,19 @@ Result<ForestTrainResult> TrainForest(const Dataset& data,
     }
 
     Result<TrainResult> result = Status::Internal("unreached");
-    if (options.bootstrap) {
+    if (shared_bins) {
+      std::vector<int32_t> weights;
+      if (options.bootstrap) {
+        weights = BootstrapCounts(n, member_seed);
+        std::vector<bool>& oob = oob_masks[static_cast<size_t>(i)];
+        oob.resize(static_cast<size_t>(n));
+        for (int64_t t = 0; t < n; ++t) {
+          oob[static_cast<size_t>(t)] = weights[static_cast<size_t>(t)] == 0;
+        }
+      }
+      result = TrainBinnedClassifier(data, quantizer, bins, weights,
+                                     member_options);
+    } else if (options.bootstrap) {
       Result<BootstrapResult> sample = BootstrapSample(data, member_seed);
       if (!sample.ok()) {
         errors[static_cast<size_t>(i)] = sample.status();
@@ -206,13 +236,13 @@ Result<ForestTrainResult> TrainForest(const Dataset& data,
   }
 
   ForestTrainStats stats;
+  stats.bin_seconds = bin_seconds;
   stats.split = split;
   stats.trees = std::move(member_stats);
 
   // OOB fold: each member votes only on the tuples its resample left out;
   // the per-tuple majority over those votes estimates held-out accuracy.
   if (options.oob && options.bootstrap) {
-    const int64_t n = data.num_tuples();
     const int k = data.num_classes();
     std::vector<int32_t> votes(static_cast<size_t>(n * k), 0);
     for (int i = 0; i < T; ++i) {

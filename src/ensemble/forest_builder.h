@@ -1,9 +1,9 @@
 // ForestBuilder: trains a bagged forest with two-level parallelism. The
 // outer level runs whole trees concurrently (classic task parallelism: each
-// member is an independent SPRINT build over its own bootstrap resample);
-// the inner level is the paper's within-tree machinery (BASIC / FWK / MWK /
-// SUBTREE builder threads). A fixed thread budget P is split between the
-// two levels by PlanThreadSplit:
+// member is an independent build over its own bootstrap bag); the inner
+// level is the paper's within-tree machinery (BASIC / FWK / MWK / SUBTREE
+// builder threads, or the binned engine's level team). A fixed thread
+// budget P is split between the two levels by PlanThreadSplit:
 //
 //   kTreesFirst  -- spend threads on concurrent trees first: outer =
 //                   min(T, P), the remainder (P / outer) goes to each
@@ -18,15 +18,24 @@
 //
 // `concurrent_trees` overrides the planner's outer width for sweeps.
 //
+// Bags: the sorted engine trains each member on a materialized bootstrap
+// resample (BootstrapSample). The binned engine quantizes and bins the
+// training set once, on all P threads, and trains each member over that
+// shared read-only bin matrix with the member's bootstrap draw counts as
+// row weights (BootstrapCounts); rows drawn 0 times are its out-of-bag set
+// and never enter its frontier. Cut points therefore come from the full
+// training set, not from each bag.
+//
 // Determinism: the forest depends only on (options, data), never on the
 // schedule. Every member i draws its seed from splitmix64(seed, i), its
-// bootstrap resample and feature-sampling stream come from that seed alone,
+// bootstrap bag and feature-sampling stream come from that seed alone,
 // and members are installed in index order -- so trees-first and
 // inner-first runs of the same options produce byte-identical forests when
-// the inner builder is serial, and structurally identical distributions
-// otherwise (parallel inner builders number nodes in scheduling order, which
-// perturbs per-node feature draws; see FeatureSampling in
-// core/builder_context.h).
+// the inner builder is serial or binned (the binned engine numbers nodes in
+// frontier order at every thread count), and structurally identical
+// distributions otherwise (parallel sorted builders number nodes in
+// scheduling order, which perturbs per-node feature draws; see
+// FeatureSampling in core/builder_context.h).
 //
 // OOB: with bootstrap on, each member's resample leaves ~36.8% of the
 // training tuples out of bag; those tuples are scored by that member only,
@@ -52,6 +61,11 @@ enum class ForestSchedule : unsigned char {
   kTreesFirst,
   kInnerFirst,
 };
+
+/// Member `member`'s seed under master seed `seed` (a splitmix64
+/// finalizer over the pair): it alone drives the member's bootstrap bag and
+/// feature sampling, whatever the build order.
+uint64_t ForestMemberSeed(uint64_t seed, int member);
 
 /// Returns "trees-first" / "inner-first".
 const char* ForestScheduleName(ForestSchedule schedule);
@@ -107,6 +121,10 @@ struct ForestOptions {
 /// fold the observability tooling consumes.
 struct ForestTrainStats {
   double total_seconds = 0.0;
+  /// Binned engine: wall seconds of the one shared quantize + bin-matrix
+  /// pass, before any member starts (members report setup/sort 0). 0 for
+  /// the sorted engine, whose members each sort their own bag.
+  double bin_seconds = 0.0;
   /// Majority-vote accuracy over each tuple's out-of-bag members;
   /// -1 when not computed (oob off, or bootstrap off).
   double oob_accuracy = -1.0;

@@ -6,8 +6,12 @@
 #ifndef SMPTREE_PARALLEL_SCHEDULER_H_
 #define SMPTREE_PARALLEL_SCHEDULER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <thread>
+#include <vector>
 
 #include "util/debug_checks.h"
 
@@ -49,6 +53,26 @@ class DynamicScheduler {
   std::atomic<int64_t> limit_{0};
   debug::SharedExclusiveCheck pull_check_{"DynamicScheduler Reset vs Next"};
 };
+
+/// Runs `work(i)` once for every i in [0, count) on up to `max_threads`
+/// threads (the caller is one of them) that take indices from one shared
+/// counter -- BASIC's attribute scheduling, for setup passes that do one
+/// whole attribute per index. Returns after every index has run; `work`
+/// must not throw and must write only state owned by its index.
+inline void ParallelFor(int max_threads, int64_t count,
+                        const std::function<void(int64_t)>& work) {
+  DynamicScheduler sched;
+  sched.Reset(count);
+  const auto drain = [&] {
+    for (int64_t i = sched.Next(); i >= 0; i = sched.Next()) work(i);
+  };
+  const int64_t helpers =
+      std::min<int64_t>(std::max(max_threads, 1), count) - 1;
+  std::vector<std::thread> threads;
+  for (int64_t t = 0; t < helpers; ++t) threads.emplace_back(drain);
+  drain();
+  for (std::thread& t : threads) t.join();
+}
 
 }  // namespace smptree
 

@@ -69,6 +69,21 @@ Result<Dataset> ReadBinaryShard(const Schema& schema,
     return Status::Corruption(
         StringPrintf("%s has negative tuple count", path.c_str()));
   }
+  // Bound the header's count by the bytes that follow it before sizing
+  // anything from it.
+  const std::streamoff data_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff bytes_left = in.tellg() - data_start;
+  in.seekg(data_start);
+  const int64_t tuple_bytes =
+      static_cast<int64_t>(num_attrs) * static_cast<int64_t>(sizeof(AttrValue)) +
+      static_cast<int64_t>(sizeof(ClassLabel));
+  if (!in || num_tuples > static_cast<int64_t>(bytes_left) / tuple_bytes) {
+    return Status::Corruption(StringPrintf(
+        "%s claims %lld tuples but holds %lld bytes after its header",
+        path.c_str(), static_cast<long long>(num_tuples),
+        static_cast<long long>(bytes_left)));
+  }
 
   std::vector<std::vector<AttrValue>> columns(
       static_cast<size_t>(num_attrs));
@@ -85,6 +100,14 @@ Result<Dataset> ReadBinaryShard(const Schema& schema,
   if (!in) {
     return Status::Corruption(
         StringPrintf("%s is truncated", path.c_str()));
+  }
+  for (int a = 0; a < num_attrs; ++a) {
+    if (schema.attr(a).is_categorical()) continue;
+    const std::vector<AttrValue>& column = columns[static_cast<size_t>(a)];
+    for (int64_t t = 0; t < num_tuples; ++t) {
+      SMPTREE_RETURN_IF_ERROR(CheckContinuousValue(
+          schema.attr(a), t, column[static_cast<size_t>(t)].f));
+    }
   }
 
   Dataset data(schema);

@@ -11,14 +11,19 @@
 namespace smptree {
 
 std::string StringPrintf(const char* format, ...) {
+  // One pass into a stack buffer covers nearly every call (numbers, short
+  // messages); only output that does not fit is formatted a second time.
+  char buf[256];
   va_list ap;
   va_start(ap, format);
   va_list ap_copy;
   va_copy(ap_copy, ap);
-  const int needed = std::vsnprintf(nullptr, 0, format, ap);
+  const int needed = std::vsnprintf(buf, sizeof(buf), format, ap);
   va_end(ap);
   std::string out;
-  if (needed > 0) {
+  if (needed > 0 && static_cast<size_t>(needed) < sizeof(buf)) {
+    out.assign(buf, static_cast<size_t>(needed));
+  } else if (needed > 0) {
     out.resize(static_cast<size_t>(needed));
     std::vsnprintf(out.data(), out.size() + 1, format, ap_copy);
   }

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "binned/leaf_histogram.h"
@@ -476,6 +478,71 @@ TEST(BinnedBuilderTest, MaxBinsOutOfRangeIsRejected) {
     auto result = Train(data, Engine::kBinned, options);
     EXPECT_FALSE(result.ok()) << "max_bins " << bad;
   }
+}
+
+/// One binned build over `data`'s own bins with the given row weights.
+Result<std::string> BuildWeighted(const Dataset& data,
+                                  std::span<const int32_t> weights,
+                                  int threads) {
+  Quantizer quantizer;
+  SMPTREE_RETURN_IF_ERROR(quantizer.Build(data, 64));
+  BinMatrix bins;
+  SMPTREE_RETURN_IF_ERROR(bins.Materialize(data, quantizer));
+  BuildOptions options;
+  options.num_threads = threads;
+  DecisionTree tree(data.schema());
+  BuildCounters counters;
+  std::vector<LevelTraceEntry> trace;
+  SMPTREE_RETURN_IF_ERROR(BuildTreeBinned(data, quantizer, bins, weights,
+                                          options, &tree, &counters, &trace));
+  return SerializeTree(tree);
+}
+
+TEST(BinnedBuilderTest, UnitWeightsGrowTheUnweightedTree) {
+  const Dataset data = MakeAgrawal(5, 2000, 42);
+  const std::vector<int32_t> ones(static_cast<size_t>(data.num_tuples()), 1);
+  for (int threads : {1, 3}) {
+    auto plain = BuildWeighted(data, {}, threads);
+    auto weighted = BuildWeighted(data, ones, threads);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    ASSERT_TRUE(weighted.ok()) << weighted.status().ToString();
+    EXPECT_EQ(*plain, *weighted) << "P=" << threads;
+  }
+}
+
+TEST(BinnedBuilderTest, ZeroWeightRowsNeverReachTheTree) {
+  // Weight 0 on every class-1 row leaves a pure class-0 root: a single leaf
+  // whose counts hold no class-1 tuple.
+  const Dataset data = MakeAgrawal(1, 600, 42);
+  std::vector<int32_t> weights(static_cast<size_t>(data.num_tuples()));
+  int64_t kept = 0;
+  for (int64_t t = 0; t < data.num_tuples(); ++t) {
+    weights[static_cast<size_t>(t)] = data.label(t) == 0 ? 2 : 0;
+    kept += weights[static_cast<size_t>(t)];
+  }
+  Quantizer quantizer;
+  ASSERT_TRUE(quantizer.Build(data, 64).ok());
+  BinMatrix bins;
+  ASSERT_TRUE(bins.Materialize(data, quantizer).ok());
+  DecisionTree tree(data.schema());
+  BuildCounters counters;
+  std::vector<LevelTraceEntry> trace;
+  ASSERT_TRUE(BuildTreeBinned(data, quantizer, bins, weights, BuildOptions(),
+                              &tree, &counters, &trace)
+                  .ok());
+  ASSERT_EQ(tree.num_nodes(), 1);
+  EXPECT_EQ(tree.node(tree.root()).class_counts,
+            (std::vector<int64_t>{kept, 0}));
+}
+
+TEST(BinnedBuilderTest, MalformedWeightsAreRejected) {
+  const Dataset data = MakeAgrawal(1, 300, 42);
+  const std::vector<int32_t> short_weights(10, 1);
+  EXPECT_TRUE(
+      BuildWeighted(data, short_weights, 1).status().IsInvalidArgument());
+  std::vector<int32_t> negative(static_cast<size_t>(data.num_tuples()), 1);
+  negative[7] = -1;
+  EXPECT_TRUE(BuildWeighted(data, negative, 2).status().IsInvalidArgument());
 }
 
 TEST(BinnedBuilderTest, MulticlassBinnedBuildWorks) {

@@ -164,4 +164,35 @@ if "$CLI" eval --schema "$DIR/mc_schema.txt" --model "$DIR/model.tree" \
   fail "mismatched schema accepted"
 fi
 
+# non-finite continuous values are rejected when the CSV is read, naming the
+# attribute and line, on either engine and for forests; no model is written
+# (F1 with every 5th tuple's age set to nan, then one 1e300, a float overflow)
+"$CLI" gen --function 1 --tuples 400 --out "$DIR/f1.csv" \
+  --schema-out "$DIR/f1_schema.txt" || fail "gen f1"
+awk -F, 'BEGIN {OFS = ","} NR > 1 && NR % 5 == 0 {$3 = "nan"} {print}' \
+  "$DIR/f1.csv" > "$DIR/f1_nan.csv"
+awk -F, 'BEGIN {OFS = ","} NR == 3 {$3 = "1e300"} {print}' \
+  "$DIR/f1.csv" > "$DIR/f1_big.csv"
+for input in f1_nan f1_big; do
+  case "$input" in
+    f1_nan) row=5 ;;
+    *) row=3 ;;
+  esac
+  for engine in sorted binned; do
+    if "$CLI" train --schema "$DIR/f1_schema.txt" --data "$DIR/$input.csv" \
+      --engine "$engine" --model "$DIR/$input.tree" 2> "$DIR/err.out"; then
+      fail "$input accepted by the $engine engine"
+    fi
+    grep -q "row $row: non-finite continuous value .* for attribute 'age'" \
+      "$DIR/err.out" || fail "$input $engine message"
+    grep -q "Corruption" "$DIR/err.out" && fail "$input $engine: Corruption"
+    [ -e "$DIR/$input.tree" ] && fail "$input $engine wrote a model"
+  done
+  if "$CLI" train-forest --schema "$DIR/f1_schema.txt" \
+    --data "$DIR/$input.csv" --engine binned --trees 3 \
+    --model "$DIR/$input.forest" 2> /dev/null; then
+    fail "$input accepted by train-forest"
+  fi
+done
+
 echo "cli workflow OK"

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "data/synthetic.h"
 
 namespace smptree {
@@ -103,6 +105,59 @@ TEST(CsvTest, RejectsBadValues) {
   EXPECT_TRUE(FromCsvString(SmallSchema(), "age,car,class\n5,sedan\n")
                   .status()
                   .IsCorruption());
+}
+
+TEST(CsvTest, RejectsNonFiniteContinuousValues) {
+  // NaN and infinities have no place in the sorted order the trainers rely
+  // on; 1e300 parses as a double but overflows the float column.
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                           "1e300", "-1e300"}) {
+    const std::string csv =
+        std::string("age,car,class\n5,sedan,yes\n") + text + ",truck,no\n";
+    auto parsed = FromCsvString(SmallSchema(), csv);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument())
+        << text << ": " << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("row 3:"), std::string::npos)
+        << parsed.status().ToString();
+    EXPECT_NE(parsed.status().message().find("attribute 'age'"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // Large finite values, the missing marker and negative zero still load.
+  auto fine = FromCsvString(SmallSchema(),
+                            "age,car,class\n3.4e38,sedan,yes\n?,truck,no\n"
+                            "-0,sports,yes\n");
+  ASSERT_TRUE(fine.ok()) << fine.status().ToString();
+  EXPECT_EQ(fine->num_tuples(), 3);
+}
+
+TEST(CsvTest, NanColumnNeverReachesTraining) {
+  // Every 5th tuple's first continuous attribute set to nan: the load fails
+  // with InvalidArgument, so neither engine ever sees the value.
+  SyntheticConfig cfg;
+  cfg.function = 1;
+  cfg.num_tuples = 400;
+  auto data = GenerateSynthetic(cfg);
+  ASSERT_TRUE(data.ok());
+  std::string text = ToCsvString(*data);
+  std::string poisoned;
+  size_t line = 0;
+  for (size_t start = 0; start < text.size();) {
+    const size_t end = text.find('\n', start);
+    std::string row = text.substr(start, end - start);
+    if (line > 0 && line % 5 == 0) row = "nan" + row.substr(row.find(','));
+    poisoned += row + "\n";
+    start = end + 1;
+    ++line;
+  }
+  auto parsed = FromCsvString(data->schema(), poisoned);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsInvalidArgument())
+      << parsed.status().ToString();
+  EXPECT_FALSE(parsed.status().IsCorruption());
+  EXPECT_NE(parsed.status().message().find("row 6:"), std::string::npos)
+      << parsed.status().ToString();
 }
 
 TEST(CsvTest, RejectsEmptyInput) {

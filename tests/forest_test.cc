@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "binned/quantizer.h"
 #include "core/tree_io.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "ensemble/forest_io.h"
 
@@ -246,6 +251,142 @@ TEST(ForestBuilderTest, TwoLevelBuildMatchesSerialForest) {
   auto full_serial = TrainForest(data, options);
   ASSERT_TRUE(full_serial.ok());
   EXPECT_TRUE(ForestsEqual(*full_serial->forest, *full_parallel->forest));
+}
+
+TEST(ForestBuilderTest, BinnedForestDeterministicAcrossSchedulesAndThreads) {
+  // The binned engine numbers nodes in frontier order at every thread
+  // count, so even with feature sampling the forest is byte-identical
+  // however the P threads are split between trees and within trees.
+  const Dataset data = TestData(1500);
+  ForestOptions options;
+  options.num_trees = 4;
+  options.features_per_node = 3;
+  options.seed = 1234;
+  options.tree.build.engine = Engine::kBinned;
+  options.num_threads = 1;
+  auto expected = TrainForest(data, options);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const std::string bytes = SerializeForest(*expected->forest);
+  for (ForestSchedule schedule :
+       {ForestSchedule::kTreesFirst, ForestSchedule::kInnerFirst}) {
+    for (int threads : {1, 2, 4}) {
+      options.schedule = schedule;
+      options.num_threads = threads;
+      auto actual = TrainForest(data, options);
+      ASSERT_TRUE(actual.ok()) << actual.status().ToString();
+      EXPECT_EQ(SerializeForest(*actual->forest), bytes)
+          << ForestScheduleName(schedule) << " P=" << threads;
+      EXPECT_EQ(actual->stats.oob_accuracy, expected->stats.oob_accuracy);
+    }
+  }
+}
+
+TEST(ForestBuilderTest, BinnedMembersEqualTheirBagOverTheForestQuantizer) {
+  // Oracle: a binned member trains over the forest's one quantizer with its
+  // bootstrap draw counts as row weights. It must be byte-identical to the
+  // same build over the materialized bootstrap bag, binned with that same
+  // quantizer -- so cut placement (full set vs. bag) is the only thing that
+  // separates it from training on the bag alone.
+  const Dataset data = TestData(1500);
+  for (uint64_t seed : {3ull, 41ull, 977ull}) {
+    for (int max_bins : {32, 64, 256}) {
+      Quantizer quantizer;
+      ASSERT_TRUE(quantizer.Build(data, max_bins).ok());
+      for (int threads : {1, 4}) {
+        ForestOptions options;
+        options.num_trees = 3;
+        options.features_per_node = 4;
+        options.seed = seed;
+        options.num_threads = threads;
+        options.schedule = ForestSchedule::kInnerFirst;
+        options.tree.build.engine = Engine::kBinned;
+        options.tree.build.max_bins = max_bins;
+        auto forest = TrainForest(data, options);
+        ASSERT_TRUE(forest.ok()) << forest.status().ToString();
+        for (int i = 0; i < options.num_trees; ++i) {
+          const uint64_t member_seed = ForestMemberSeed(seed, i);
+          auto bag = BootstrapSample(data, member_seed);
+          ASSERT_TRUE(bag.ok());
+          BinMatrix bag_bins;
+          ASSERT_TRUE(bag_bins.Materialize(bag->sample, quantizer).ok());
+          ClassifierOptions member = options.tree;
+          member.build.num_threads = 1;
+          member.build.feature_sampling.features_per_node =
+              options.features_per_node;
+          member.build.feature_sampling.seed = member_seed;
+          auto oracle = TrainBinnedClassifier(bag->sample, quantizer,
+                                              bag_bins, {}, member);
+          ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+          EXPECT_EQ(SerializeTree(forest->forest->tree(i)),
+                    SerializeTree(*oracle->tree))
+              << "seed " << seed << " max_bins " << max_bins << " P="
+              << threads << " member " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(ForestBuilderTest, BinnedOobMasksAreTheBootstrapSampleMasks) {
+  // Refold the OOB vote from the masks BootstrapSample gives each member's
+  // seed; the forest's own fold over its draw counts must agree exactly.
+  const Dataset data = TestData(1200);
+  ForestOptions options;
+  options.num_trees = 6;
+  options.seed = 5;
+  options.num_threads = 3;
+  options.tree.build.engine = Engine::kBinned;
+  auto result = TrainForest(data, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t n = data.num_tuples();
+  const int k = data.num_classes();
+  std::vector<int> votes(static_cast<size_t>(n * k), 0);
+  for (int i = 0; i < options.num_trees; ++i) {
+    const uint64_t member_seed = ForestMemberSeed(options.seed, i);
+    auto bag = BootstrapSample(data, member_seed);
+    ASSERT_TRUE(bag.ok());
+    const std::vector<int32_t> counts = BootstrapCounts(n, member_seed);
+    for (int64_t t = 0; t < n; ++t) {
+      ASSERT_EQ(bag->oob[static_cast<size_t>(t)],
+                counts[static_cast<size_t>(t)] == 0);
+      if (!bag->oob[static_cast<size_t>(t)]) continue;
+      ++votes[static_cast<size_t>(
+          t * k + result->forest->tree(i).Classify(data, t))];
+    }
+  }
+  int64_t counted = 0;
+  int64_t correct = 0;
+  for (int64_t t = 0; t < n; ++t) {
+    const auto row = votes.begin() + t * k;
+    const auto best = std::max_element(row, row + k);
+    if (*best == 0) continue;
+    ++counted;
+    if (best - row == data.label(t)) ++correct;
+  }
+  EXPECT_EQ(result->stats.oob_tuples, counted);
+  EXPECT_DOUBLE_EQ(result->stats.oob_accuracy,
+                   static_cast<double>(correct) / static_cast<double>(counted));
+}
+
+TEST(ForestBuilderTest, BinnedOobAccuracyIsPlausible) {
+  // OOB estimates held-out accuracy: within a few points of a fresh test
+  // set drawn from the same function.
+  const Dataset train = TestData(3000, 5, 7);
+  const Dataset test = TestData(2000, 5, 977);
+  ForestOptions options;
+  options.num_trees = 10;
+  options.num_threads = 4;
+  options.tree.build.engine = Engine::kBinned;
+  auto result = TrainForest(train, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->stats.oob_tuples, train.num_tuples() * 9 / 10);
+  EXPECT_GT(result->stats.bin_seconds, 0.0);
+  const double held_out = ForestAccuracy(*result->forest, test);
+  EXPECT_NEAR(result->stats.oob_accuracy, held_out, 0.05);
+  for (const TrainStats& member : result->stats.trees) {
+    EXPECT_EQ(member.sort_seconds, 0.0);  // the forest binned once
+    EXPECT_EQ(member.setup_seconds, 0.0);
+  }
 }
 
 /// Satellite property: a 1-tree forest with bootstrap off and full feature

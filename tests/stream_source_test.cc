@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -108,6 +111,58 @@ TEST(BinaryShardTest, RejectsWrongSchemaAndMissingFile) {
   EXPECT_FALSE(
       ReadBinaryShard(data->schema(), testing::TempDir() + "/nope.shard")
           .ok());
+}
+
+/// Overwrites `size` bytes at `offset` of the file at `path`.
+void PatchFile(const std::string& path, std::streamoff offset,
+               const void* bytes, size_t size) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  f.seekp(offset);
+  f.write(static_cast<const char*>(bytes), static_cast<std::streamsize>(size));
+  ASSERT_TRUE(f.good());
+}
+
+// Header layout: 8-byte magic, int32 attrs, int32 classes, int64 tuples.
+constexpr std::streamoff kTupleCountOffset = 16;
+constexpr std::streamoff kColumnsOffset = 24;
+
+TEST(BinaryShardTest, RejectsTupleCountBeyondTheFile) {
+  auto data = GenerateSynthetic(SmallConfig(50));
+  ASSERT_TRUE(data.ok());
+  const std::string path = testing::TempDir() + "/inflated.shard";
+  ASSERT_TRUE(WriteBinaryShard(*data, path).ok());
+  // One tuple more than the file holds, and a count that would ask for
+  // exabytes: both are refused before anything is sized from them.
+  for (int64_t count : {int64_t{51}, int64_t{1} << 60}) {
+    PatchFile(path, kTupleCountOffset, &count, sizeof(count));
+    auto loaded = ReadBinaryShard(data->schema(), path);
+    ASSERT_FALSE(loaded.ok()) << count;
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("claims"), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(BinaryShardTest, RejectsNonFiniteContinuousValues) {
+  auto data = GenerateSynthetic(SmallConfig(20));
+  ASSERT_TRUE(data.ok());
+  ASSERT_FALSE(data->schema().attr(0).is_categorical());
+  const std::string path = testing::TempDir() + "/nonfinite.shard";
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    ASSERT_TRUE(WriteBinaryShard(*data, path).ok());
+    // Tuple 7 of attribute 0 (the first column).
+    PatchFile(path, kColumnsOffset + 7 * sizeof(AttrValue), &bad,
+              sizeof(bad));
+    auto loaded = ReadBinaryShard(data->schema(), path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find("row 7:"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 TEST(DiskStreamSourceTest, DeliversShardsInOrderMixedFormats) {

@@ -10,6 +10,25 @@ TEST(StringPrintfTest, FormatsLikePrintf) {
   EXPECT_EQ(StringPrintf("empty"), "empty");
 }
 
+TEST(StringPrintfTest, OutputAroundTheStackBufferSize) {
+  // The first pass formats into a 256-byte buffer (255 characters plus the
+  // terminator); longer output takes the second pass.
+  for (size_t len : {0u, 1u, 254u, 255u, 256u, 257u, 1000u}) {
+    const std::string arg(len, 'q');
+    const std::string out = StringPrintf("%s", arg.c_str());
+    EXPECT_EQ(out, arg) << "length " << len;
+    EXPECT_EQ(out.size(), len);
+  }
+  EXPECT_EQ(StringPrintf("%s|%d", std::string(253, 'a').c_str(), 7),
+            std::string(253, 'a') + "|7");
+  EXPECT_EQ(StringPrintf("%.9g", 0.1f), "0.100000001");
+}
+
+TEST(StringPrintfTest, EmptyResult) {
+  EXPECT_EQ(StringPrintf("%s", ""), "");
+  EXPECT_TRUE(StringPrintf("%.0s", "dropped").empty());
+}
+
 TEST(StringPrintfTest, LongOutput) {
   std::string long_arg(5000, 'a');
   EXPECT_EQ(StringPrintf("%s", long_arg.c_str()).size(), 5000u);

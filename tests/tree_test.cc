@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/tree_io.h"
 
@@ -265,6 +266,56 @@ TEST(DecisionTreeTest, ConcurrentReadersAreSafe) {
   }
   for (auto& th : readers) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The chunk table starts at a few entries and grows by publishing doubled
+// copies. Readers index published nodes lock-free while a writer appends
+// past several doublings; run under TSan, this checks the table handoff and
+// that retired tables stay readable.
+TEST(DecisionTreeTest, ReadersDuringTableGrowthSeeEveryPublishedNode) {
+  // A left chain: node k has depth k and parent k-1. 40 chunks of 1024
+  // nodes take the table through several doublings.
+  constexpr int64_t kNodes = 40 * 1024;
+  DecisionTree tree(CarSchema());
+  tree.CreateRoot(Hist(1, 0));
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&tree, &done, &failures, &checked, r] {
+      int64_t probe = r;
+      // At least one pass, and one more after the writer finished.
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        const int64_t n = tree.num_nodes();
+        // The newest node (likely in a just-published chunk or table) and
+        // one older node that may sit behind a retired table.
+        probe = (probe * 7919 + 13) % n;
+        for (const int64_t id : {n - 1, probe}) {
+          const TreeNode& node = tree.node(static_cast<NodeId>(id));
+          if (node.depth != id) failures.fetch_add(1, std::memory_order_relaxed);
+          if (node.parent != (id == 0 ? kInvalidNode : id - 1)) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  NodeId parent = tree.root();
+  for (int64_t i = 1; i < kNodes; ++i) {
+    parent = tree.AddChild(parent, true, Hist(1, 0));
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(failures.load(std::memory_order_relaxed), 0);
+  EXPECT_GT(checked.load(std::memory_order_relaxed), 0);
+  ASSERT_EQ(tree.num_nodes(), kNodes);
+  for (const NodeId id : {0, 4095, 4096, 8192, 16384, 32768,
+                          static_cast<NodeId>(kNodes - 1)}) {
+    EXPECT_EQ(tree.node(id).depth, id);
+  }
 }
 
 }  // namespace

@@ -204,11 +204,12 @@ def convert_parallel(raw, output):
 
 
 def convert_forest(raw, output):
-    """Groups the timed sweep by (trees, inner, schedule) and derives, per
-    thread count, the speedup vs that series' threads=1 run. Runs with
-    schedule == "oob" are the ensemble-size sweep and become a separate
-    "oob_curve" section instead."""
-    series = {}  # (trees, inner, schedule) -> {threads: run}
+    """Groups the timed sweep by (trees, engine, inner, schedule) and
+    derives, per thread count, the speedup vs that series' threads=1 run.
+    Binned points also carry bin_seconds, the one shared quantize + bin pass
+    inside train_seconds. Runs with schedule == "oob" are the ensemble-size
+    sweep and become a separate "oob_curve" section instead."""
+    series = {}  # (trees, engine, inner, schedule) -> {threads: run}
     oob_curve = []
     for run in raw.get("runs", []):
         if run.get("schedule") == "oob":
@@ -218,30 +219,35 @@ def convert_forest(raw, output):
                 "train_seconds": round(run["train_seconds"], 6),
             })
             continue
-        key = (run["trees"], run["inner"], run["schedule"])
+        key = (run["trees"], run.get("engine", "sorted"), run["inner"],
+               run["schedule"])
         series.setdefault(key, {})[run["threads"]] = run
 
     out_series = []
     errors = []
-    for (trees, inner, schedule), by_threads in sorted(series.items()):
+    for (trees, engine, inner, schedule), by_threads in sorted(series.items()):
         base = by_threads.get(1)
         if base is None or not base.get("train_seconds"):
-            errors.append(f"T={trees}/{inner}/{schedule}: "
+            errors.append(f"T={trees}/{engine}/{inner}/{schedule}: "
                           "no threads=1 baseline")
             continue
         points = []
         for threads in sorted(by_threads):
             run = by_threads[threads]
             train = run["train_seconds"]
-            points.append({
+            point = {
                 "threads": threads,
                 "split": f'{run["concurrent_trees"]}x{run["inner_threads"]}',
                 "train_seconds": round(train, 6),
                 "speedup": round(base["train_seconds"] / train, 3)
                 if train else None,
-            })
+            }
+            if engine == "binned":
+                point["bin_seconds"] = round(run.get("bin_seconds", 0.0), 6)
+            points.append(point)
         out_series.append({
             "trees": trees,
+            "engine": engine,
             "inner": inner,
             "schedule": schedule,
             "points": points,
@@ -569,7 +575,7 @@ VALIDATE_SCHEMAS = {
     ),
     "forest_speedup": (
         ["schema_version", "suite", "context", "series", "oob_curve"],
-        [("series", ["trees", "inner", "schedule", "points"])],
+        [("series", ["trees", "engine", "inner", "schedule", "points"])],
     ),
     "binned_vs_sorted": (
         ["schema_version", "suite", "context", "runs", "derived"],
