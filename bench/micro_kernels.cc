@@ -1,6 +1,6 @@
 // Split-evaluation kernel micro benchmarks: the E-phase scan (AoS reference
-// vs SoA kernel, 2-class and 8-class), categorical tabulation, subset
-// histogram extraction, and S-phase split throughput (direct vs bounded
+// vs SoA kernel, 2-class and 8-class), categorical tabulation, the
+// categorical subset search, and S-phase split throughput (direct vs bounded
 // buffered streaming). These are the numbers BENCH_core.json is built from
 // (tools/bench_to_json.py converts the google-benchmark JSON output).
 //
@@ -11,8 +11,9 @@
 //
 // Benchmark names are part of the BENCH_core.json contract: the converter
 // pairs "<family>/aos_*" with "<family>/soa_*" (and SplitPhase/direct with
-// SplitPhase/buffered) to derive speedups. Rename in both places or not at
-// all.
+// SplitPhase/buffered) to derive speedups; CatSearch/<cardinality> is
+// reported per search and pairs with nothing. Rename in both places or not
+// at all.
 
 #include <benchmark/benchmark.h>
 
@@ -95,28 +96,22 @@ void CatTabulateBench(benchmark::State& state, bool use_kernels) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
-/// Word-at-a-time subset histogram extraction over a tabulated matrix.
-void SubsetHistogramBench(benchmark::State& state) {
-  const int cardinality = 64;
+/// Categorical subset search over a pre-tabulated 2-class matrix (no
+/// tabulation): the half Gray-code walk up to the exhaustive limit (12),
+/// greedy growth above it. One item is one whole search.
+void CatSearchBench(benchmark::State& state) {
+  const int cardinality = static_cast<int>(state.range(0));
   const auto recs = CategoricalList(1 << 14, cardinality, 3);
   CountMatrix matrix(cardinality, 2);
   for (const auto& r : recs) matrix.Add(r.value.cat, r.label);
-  ClassHistogram hist(2);
-  Random rng(4);
-  std::vector<uint64_t> masks(256);
-  for (auto& m : masks) {
-    m = (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 48) ^
-        (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 32) ^
-        (static_cast<uint64_t>(rng.Uniform(1u << 16)) << 16) ^
-        static_cast<uint64_t>(rng.Uniform(1u << 16));
-  }
+  const ClassHistogram total = HistOf(recs, 2);
+  GiniScratch scratch;
+  const GiniOptions options;
   for (auto _ : state) {
-    for (uint64_t m : masks) {
-      matrix.SubsetHistogram(m, &hist);
-      benchmark::DoNotOptimize(hist);
-    }
+    benchmark::DoNotOptimize(
+        EvaluateCategoricalFromMatrix(0, matrix, total, options, &scratch));
   }
-  state.SetItemsProcessed(state.iterations() * masks.size());
+  state.SetItemsProcessed(state.iterations());
 }
 
 /// S-phase split throughput: partition a list through the probe and append
@@ -201,8 +196,11 @@ void RegisterAll(bool quick) {
            "CatTabulate/soa",
            [](benchmark::State& s) { CatTabulateBench(s, true); })
            ->Arg(cat_n));
-  tune(benchmark::RegisterBenchmark("SubsetHistogram/word64",
-                                    SubsetHistogramBench));
+  tune(benchmark::RegisterBenchmark("CatSearch", CatSearchBench)
+           ->Arg(5)
+           ->Arg(10)
+           ->Arg(12)
+           ->Arg(20));
   tune(benchmark::RegisterBenchmark(
            "SplitPhase/direct",
            [](benchmark::State& s) { SplitPhaseBench(s, 0); })

@@ -1,5 +1,6 @@
 #include "core/gini.h"
 
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -10,32 +11,6 @@ float SplitMidpoint(float lo, float hi) {
   const float mid = lo + (hi - lo) * 0.5f;
   return mid > lo ? mid : hi;
 }
-
-namespace {
-
-/// Evaluates one categorical subset mask against the count matrix,
-/// tightening `best` when the partition is proper and strictly better.
-void ConsiderSubset(int attr, uint64_t mask, const CountMatrix& matrix,
-                    const ClassHistogram& total, SplitCriterion criterion,
-                    GiniScratch* scratch, SplitCandidate* best) {
-  matrix.SubsetHistogram(mask, &scratch->below);
-  const int64_t nl = scratch->below.Total();
-  const int64_t n = total.Total();
-  if (nl == 0 || nl == n) return;  // degenerate partition
-  scratch->above = total;
-  scratch->above.Subtract(scratch->below);
-  const double gini = SplitImpurity(scratch->below, scratch->above, criterion);
-  SplitCandidate candidate;
-  candidate.test.attr = attr;
-  candidate.test.categorical = true;
-  candidate.test.subset = mask;
-  candidate.gini = gini;
-  candidate.left_count = nl;
-  candidate.right_count = n - nl;
-  if (candidate.BetterThan(*best)) *best = candidate;
-}
-
-}  // namespace
 
 SplitCandidate ReferenceEvaluateContinuousAttr(
     int attr, std::span<const AttrRecord> records, const ClassHistogram& total,
@@ -180,22 +155,71 @@ SplitCandidate LargeFromMatrix(int attr, const CountMatrix& matrix,
   return best;
 }
 
-/// Exhaustive / small-greedy search over a tabulated matrix.
+/// Moves matrix row `v` across the partition held in `scratch`: onto the
+/// left side (`below`) when `to_left`, back onto the right (`above`)
+/// otherwise. Returns the signed change of the left side's tuple count.
+/// The counts are integers, so they equal a rebuild from the rows.
+int64_t MoveRow(const CountMatrix& matrix, int v, bool to_left,
+                GiniScratch* scratch) {
+  int64_t moved = 0;
+  for (int c = 0; c < matrix.num_classes(); ++c) {
+    const int64_t count = to_left ? matrix.count(v, c) : -matrix.count(v, c);
+    scratch->below.Add(static_cast<ClassLabel>(c), count);
+    scratch->above.Remove(static_cast<ClassLabel>(c), count);
+    moved += count;
+  }
+  return moved;
+}
+
+/// Scores the partition held in `scratch` (left side = `mask`, `nl` of `n`
+/// tuples) and keeps it in `best` when it wins under BetterThan. A
+/// candidate is built only when its gini can win or tie.
+void OfferSubset(int attr, uint64_t mask, int64_t nl, int64_t n,
+                 SplitCriterion criterion, const GiniScratch& scratch,
+                 SplitCandidate* best) {
+  if (nl == 0 || nl == n) return;  // degenerate partition
+  const double gini = SplitImpurityWithTotals(scratch.below, scratch.above,
+                                              nl, n - nl, criterion);
+  if (best->valid() && gini > best->gini) return;
+  SplitCandidate candidate;
+  candidate.test.attr = attr;
+  candidate.test.categorical = true;
+  candidate.test.subset = mask;
+  candidate.gini = gini;
+  candidate.left_count = nl;
+  candidate.right_count = n - nl;
+  if (candidate.BetterThan(*best)) *best = candidate;
+}
+
+/// Exhaustive / small-greedy search over a tabulated matrix. Each
+/// candidate is one MoveRow from the last, so it costs O(classes).
 SplitCandidate SmallFromMatrix(int attr, const CountMatrix& matrix,
                                const ClassHistogram& total,
                                const GiniOptions& options,
                                GiniScratch* scratch) {
   SplitCandidate best;
   const int cardinality = matrix.cardinality();
+  if (cardinality < 2) return best;  // no proper subset
+  const int64_t n = total.Total();
+  scratch->below.Reset(total.num_classes());
+  scratch->above = total;
+  int64_t nl = 0;
   if (cardinality <= options.max_exhaustive_cardinality) {
-    // All proper subsets. Complementary masks give the same partition; since
-    // masks are visited in ascending order and BetterThan is strict on equal
-    // gini (up to tie-break), the smaller mask of each pair wins
-    // deterministically.
-    const uint64_t limit = (uint64_t{1} << cardinality) - 1;
-    for (uint64_t mask = 1; mask < limit; ++mask) {
-      ConsiderSubset(attr, mask, matrix, total, options.criterion, scratch,
-                     &best);
+    // Half Gray-code walk over the masks with bit c-1 clear: step i flips
+    // value countr_zero(i), and the 2^(c-1)-1 steps visit each nonzero mask
+    // below 2^(c-1) once. The other half needs no visit: a mask and its
+    // complement score bit-identically (wl*G(L) + wr*G(R) is one
+    // commutative addition), and BetterThan's tie-break keeps the smaller
+    // mask of the pair, which is the one with bit c-1 clear. So the winner
+    // is the (gini, mask) minimum over all 2^c-2 proper subsets,
+    // independent of visit order.
+    const uint64_t steps = (uint64_t{1} << (cardinality - 1)) - 1;
+    uint64_t mask = 0;
+    for (uint64_t i = 1; i <= steps; ++i) {
+      const int v = std::countr_zero(i);
+      mask ^= uint64_t{1} << v;
+      nl += MoveRow(matrix, v, ((mask >> v) & 1) != 0, scratch);
+      OfferSubset(attr, mask, nl, n, options.criterion, *scratch, &best);
     }
     return best;
   }
@@ -203,28 +227,28 @@ SplitCandidate SmallFromMatrix(int attr, const CountMatrix& matrix,
   // Greedy subsetting (paper section 2.2: "if the cardinality is too large a
   // greedy subsetting algorithm is used"): grow the subset one value at a
   // time, keeping the addition that lowers gini the most, until no addition
-  // improves it.
+  // improves it. Each trial moves one row onto the grown subset's
+  // histogram and back.
   uint64_t current = 0;
-  SplitCandidate current_best;  // best seen for the grown subset
   for (;;) {
-    SplitCandidate round_best = current_best;
-    uint64_t round_mask = 0;
+    SplitCandidate round_best = best;
     for (int v = 0; v < cardinality; ++v) {
       const uint64_t bit = uint64_t{1} << v;
       if (current & bit) continue;
-      SplitCandidate trial = round_best;
-      ConsiderSubset(attr, current | bit, matrix, total, options.criterion,
-                     scratch, &trial);
-      if (trial.BetterThan(round_best)) {
-        round_best = trial;
-        round_mask = current | bit;
-      }
+      const int64_t moved = MoveRow(matrix, v, true, scratch);
+      OfferSubset(attr, current | bit, nl + moved, n, options.criterion,
+                  *scratch, &round_best);
+      MoveRow(matrix, v, false, scratch);
     }
-    if (round_mask == 0) break;  // no addition improved the split
-    current = round_mask;
-    current_best = round_best;
+    // round_best starts as the grown subset's own candidate, whose mask
+    // (`current`) every trial mask exceeds, so a tie keeps it.
+    if (!round_best.valid() || round_best.test.subset == current) break;
+    const int added = std::countr_zero(round_best.test.subset ^ current);
+    nl += MoveRow(matrix, added, true, scratch);
+    current = round_best.test.subset;
+    best = round_best;
   }
-  return current_best;
+  return best;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "core/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <sstream>
@@ -147,26 +146,6 @@ int64_t CountMatrix::ValueTotal(int32_t value_code) const {
   int64_t total = 0;
   for (int c = 0; c < num_classes_; ++c) total += count(value_code, c);
   return total;
-}
-
-void CountMatrix::SubsetHistogram(uint64_t subset_mask,
-                                  ClassHistogram* hist) const {
-  assert(cardinality_ <= 64);
-  hist->Reset(num_classes_);
-  // Word-at-a-time: iterate the set bits directly (lowest first, i.e. the
-  // same ascending value order as a 0..cardinality scan) instead of testing
-  // all `cardinality` positions. Subset masks are sparse for most of the
-  // exhaustive enumeration and throughout the greedy growth.
-  uint64_t mask = subset_mask;
-  if (cardinality_ < 64) mask &= (uint64_t{1} << cardinality_) - 1;
-  while (mask != 0) {
-    const int v = std::countr_zero(mask);
-    mask &= mask - 1;
-    const int64_t* row = &cells_[static_cast<size_t>(v) * num_classes_];
-    for (int c = 0; c < num_classes_; ++c) {
-      hist->Add(static_cast<ClassLabel>(c), row[c]);
-    }
-  }
 }
 
 }  // namespace smptree

@@ -128,10 +128,6 @@ class CountMatrix {
   /// Row sum: tuples with this value code.
   int64_t ValueTotal(int32_t value_code) const;
 
-  /// Fills `hist` with the per-class totals of all codes in `subset_mask`
-  /// (bit v set => code v included). Cardinality must be <= 64.
-  void SubsetHistogram(uint64_t subset_mask, ClassHistogram* hist) const;
-
  private:
   int cardinality_ = 0;
   int num_classes_ = 0;

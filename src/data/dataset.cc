@@ -1,13 +1,14 @@
 #include "data/dataset.h"
 
-#include <cmath>
-
 #include "util/string_util.h"
 
 namespace smptree {
 
 Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_attrs());
+  for (int a = 0; a < schema_.num_attrs(); ++a) {
+    if (!schema_.attr(a).is_categorical()) continuous_attrs_.push_back(a);
+  }
 }
 
 Status Dataset::Append(const TupleValues& values, ClassLabel label) {
@@ -19,6 +20,11 @@ Status Dataset::Append(const TupleValues& values, ClassLabel label) {
   if (label >= num_classes()) {
     return Status::InvalidArgument(
         StringPrintf("label %d out of range [0,%d)", label, num_classes()));
+  }
+  // Checked before any column grows, so a rejected tuple leaves no trace.
+  for (const int a : continuous_attrs_) {
+    SMPTREE_RETURN_IF_ERROR(
+        CheckContinuousValue(schema_.attr(a), num_tuples_, values[a].f));
   }
   for (int a = 0; a < num_attrs(); ++a) {
     columns_[a].push_back(values[a]);
@@ -51,8 +57,7 @@ uint64_t Dataset::SizeBytes() const {
           sizeof(ClassLabel));
 }
 
-Status CheckContinuousValue(const AttrInfo& info, int64_t row, float value) {
-  if (std::isfinite(value)) return Status::OK();
+Status NonFiniteValueError(const AttrInfo& info, int64_t row, float value) {
   return Status::InvalidArgument(StringPrintf(
       "row %lld: non-finite continuous value '%g' for attribute '%s'",
       static_cast<long long>(row), static_cast<double>(value),

@@ -6,6 +6,7 @@
 #ifndef SMPTREE_DATA_DATASET_H_
 #define SMPTREE_DATA_DATASET_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -67,15 +68,25 @@ class Dataset {
   std::vector<std::vector<AttrValue>> columns_;
   std::vector<ClassLabel> labels_;
   int64_t num_tuples_ = 0;
+  /// Indices of the continuous attributes, whose values Append checks.
+  std::vector<int> continuous_attrs_;
 };
+
+/// The InvalidArgument CheckContinuousValue returns for a non-finite value.
+Status NonFiniteValueError(const AttrInfo& info, int64_t row, float value);
 
 /// Rejects a continuous value the trainers cannot order: NaN or an
 /// infinity, including finite input text that overflows when narrowed to
-/// float (1e300). Readers call it on every continuous value they load;
-/// `row` is the row number the error names beside the attribute (the CSV
-/// reader passes its line number). The missing-value sentinel is finite
-/// and passes.
-Status CheckContinuousValue(const AttrInfo& info, int64_t row, float value);
+/// float (1e300). The readers, Dataset::Append and the predict decoder
+/// call it on every continuous value, so the accepted case is one inline
+/// compare. `row` is the row number the error names beside the attribute
+/// (the CSV reader passes its line number). The missing-value sentinel is
+/// finite and passes.
+inline Status CheckContinuousValue(const AttrInfo& info, int64_t row,
+                                   float value) {
+  if (std::isfinite(value)) return Status::OK();
+  return NonFiniteValueError(info, row, value);
+}
 
 }  // namespace smptree
 

@@ -26,12 +26,13 @@ Status ValueFromJson(const AttrInfo& info, const JsonValue& v, int64_t row,
                      AttrValue* out) {
   if (!info.is_categorical()) {
     if (v.is_number()) {
+      // 1e400 parses to inf and 1e39 overflows float: reject both, as the
+      // readers do, rather than score an infinity.
       out->f = static_cast<float>(v.number_value());
-    } else if (v.is_null()) {
-      out->f = kMissingValue;
-    } else {
-      return ValueError(info, row, "expected a number");
+      return CheckContinuousValue(info, row, out->f);
     }
+    if (!v.is_null()) return ValueError(info, row, "expected a number");
+    out->f = kMissingValue;
     return Status::OK();
   }
   if (v.is_string()) {

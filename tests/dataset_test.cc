@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace smptree {
 namespace {
 
@@ -40,6 +43,23 @@ TEST(DatasetTest, AppendRejectsWrongArity) {
 TEST(DatasetTest, AppendRejectsBadLabel) {
   Dataset d(MakeSchema());
   EXPECT_TRUE(d.Append(MakeTuple(1.0f, 0), 2).IsInvalidArgument());
+}
+
+TEST(DatasetTest, AppendRejectsNonFiniteContinuousValues) {
+  Dataset d(MakeSchema());
+  ASSERT_TRUE(d.Append(MakeTuple(1.0f, 0), 0).ok());
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    const Status s = d.Append(MakeTuple(bad, 1), 1);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.ToString().find("'age'"), std::string::npos) << s.ToString();
+  }
+  // A rejected tuple leaves no trace; the missing sentinel is accepted.
+  EXPECT_EQ(d.num_tuples(), 1);
+  EXPECT_EQ(d.column(0).size(), 1u);
+  ASSERT_TRUE(d.Append(MakeTuple(kMissingValue, 2), 1).ok());
+  EXPECT_EQ(d.num_tuples(), 2);
 }
 
 TEST(DatasetTest, TupleGathersRow) {

@@ -1,5 +1,6 @@
-// Split-evaluation tests: exact expectations on hand-built lists plus a
-// brute-force cross-check property sweep over random data.
+// Split-evaluation tests: exact expectations on hand-built lists, a
+// brute-force cross-check property sweep over random data, and an
+// exact-winner oracle for the categorical subset search.
 
 #include "core/gini.h"
 
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "subset_histogram.h"
 #include "util/random.h"
 
 namespace smptree {
@@ -168,7 +170,7 @@ TEST(CategoricalSplitTest, GreedyNeverWorseThanSingletons) {
   for (const auto& r : recs) matrix.Add(r.value.cat, r.label);
   for (int v = 0; v < 20; ++v) {
     ClassHistogram left;
-    matrix.SubsetHistogram(uint64_t{1} << v, &left);
+    SubsetHistogram(matrix, uint64_t{1} << v, &left);
     if (left.Total() == 0 || left.Total() == total.Total()) continue;
     ClassHistogram right = total;
     right.Subtract(left);
@@ -284,28 +286,234 @@ TEST_P(GiniPropertyTest, CategoricalMatchesBruteForce) {
   const auto best =
       EvaluateCategoricalAttr(0, recs, total, cardinality, options, &scratch);
 
+  // Ascending masks with a strict comparison: ties keep the smaller mask.
   double brute = 2.0;
+  uint64_t brute_mask = 0;
   for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << cardinality); ++mask) {
     ClassHistogram left(2), right(2);
     for (const auto& r : recs) {
       (((mask >> r.value.cat) & 1) ? left : right).Add(r.label);
     }
     if (left.Total() == 0 || right.Total() == 0) continue;
-    brute = std::min(brute, GiniSplit(left, right));
+    const double gini = GiniSplit(left, right);
+    if (gini < brute) {
+      brute = gini;
+      brute_mask = mask;
+    }
   }
-  if (brute > 1.5) {
+  if (brute_mask == 0) {
     EXPECT_FALSE(best.valid());
   } else {
     ASSERT_TRUE(best.valid());
-    EXPECT_NEAR(best.gini, brute, 1e-12);
+    EXPECT_EQ(best.gini, brute);  // bit-equal, not merely close
+    EXPECT_EQ(best.test.subset, brute_mask);
     int64_t left_count = 0;
     for (const auto& r : recs) left_count += best.test.GoesLeft(r.value);
     EXPECT_EQ(left_count, best.left_count);
+    EXPECT_EQ(n - left_count, best.right_count);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, GiniPropertyTest,
                          ::testing::Range(0, 25));
+
+// Exact-winner oracle for EvaluateCategoricalFromMatrix (cardinality <= 64):
+// the search the library replaced, rebuilding every subset's histogram
+// from the matrix rows. Exhaustive: all 2^c-2 proper masks in ascending
+// order. Greedy: each trial rebuilds grown-subset-plus-one-value.
+void OracleOffer(uint64_t mask, const CountMatrix& matrix,
+                 const ClassHistogram& total, SplitCriterion criterion,
+                 SplitCandidate* best) {
+  ClassHistogram left;
+  SubsetHistogram(matrix, mask, &left);
+  const int64_t nl = left.Total();
+  const int64_t n = total.Total();
+  if (nl == 0 || nl == n) return;
+  ClassHistogram right = total;
+  right.Subtract(left);
+  SplitCandidate candidate;
+  candidate.test.attr = 0;
+  candidate.test.categorical = true;
+  candidate.test.subset = mask;
+  candidate.gini = SplitImpurity(left, right, criterion);
+  candidate.left_count = nl;
+  candidate.right_count = n - nl;
+  if (candidate.BetterThan(*best)) *best = candidate;
+}
+
+SplitCandidate OracleSearch(const CountMatrix& matrix,
+                            const ClassHistogram& total,
+                            const GiniOptions& options) {
+  const int cardinality = matrix.cardinality();
+  SplitCandidate best;
+  if (cardinality <= options.max_exhaustive_cardinality) {
+    const uint64_t limit = (uint64_t{1} << cardinality) - 1;
+    for (uint64_t mask = 1; mask < limit; ++mask) {
+      OracleOffer(mask, matrix, total, options.criterion, &best);
+    }
+    return best;
+  }
+  uint64_t current = 0;
+  for (;;) {
+    SplitCandidate round_best = best;
+    uint64_t round_mask = 0;
+    for (int v = 0; v < cardinality; ++v) {
+      const uint64_t bit = uint64_t{1} << v;
+      if (current & bit) continue;
+      SplitCandidate trial = round_best;
+      OracleOffer(current | bit, matrix, total, options.criterion, &trial);
+      if (trial.BetterThan(round_best)) {
+        round_best = trial;
+        round_mask = current | bit;
+      }
+    }
+    if (round_mask == 0) return best;
+    current = round_mask;
+    best = round_best;
+  }
+}
+
+/// A random count matrix with the shapes that stress the search: empty
+/// rows (value absent at the leaf), rows duplicating an earlier row (equal
+/// partitions, hence forced gini ties between different masks), and
+/// sometimes a single populated row (every proper subset degenerates to
+/// nl == 0 or nl == n).
+CountMatrix RandomMatrix(Random* rng, int cardinality, int num_classes) {
+  CountMatrix matrix(cardinality, num_classes);
+  const bool one_row = rng->Uniform(10) == 0;
+  const int populated = static_cast<int>(rng->Uniform(cardinality));
+  const int64_t max_count = 1 + static_cast<int64_t>(rng->Uniform(40));
+  for (int v = 0; v < cardinality; ++v) {
+    if (one_row && v != populated) continue;
+    const uint64_t shape = rng->Uniform(5);
+    if (shape == 0 && !one_row) continue;  // empty row
+    if (shape == 1 && v > 0 && !one_row) {  // duplicate an earlier row
+      const int src = static_cast<int>(rng->Uniform(v));
+      for (int c = 0; c < num_classes; ++c) {
+        matrix.AddCount(v, c, matrix.count(src, c));
+      }
+      continue;
+    }
+    for (int c = 0; c < num_classes; ++c) {
+      matrix.AddCount(v, c, rng->UniformRange(0, max_count));
+    }
+  }
+  return matrix;
+}
+
+ClassHistogram MatrixTotal(const CountMatrix& matrix) {
+  ClassHistogram total(matrix.num_classes());
+  for (int v = 0; v < matrix.cardinality(); ++v) {
+    for (int c = 0; c < matrix.num_classes(); ++c) {
+      total.Add(static_cast<ClassLabel>(c), matrix.count(v, c));
+    }
+  }
+  return total;
+}
+
+/// Runs the production search and the oracle on one matrix; returns true
+/// when the oracle found a valid split.
+bool ExpectSameWinner(const CountMatrix& matrix, const GiniOptions& options,
+                      GiniScratch* scratch) {
+  const ClassHistogram total = MatrixTotal(matrix);
+  const SplitCandidate got =
+      EvaluateCategoricalFromMatrix(0, matrix, total, options, scratch);
+  const SplitCandidate want = OracleSearch(matrix, total, options);
+  EXPECT_EQ(got.valid(), want.valid());
+  if (!want.valid()) return false;
+  EXPECT_TRUE(got.test == want.test)
+      << "mask " << got.test.subset << " vs " << want.test.subset;
+  EXPECT_EQ(got.gini, want.gini);  // bit-equal
+  EXPECT_EQ(got.left_count, want.left_count);
+  EXPECT_EQ(got.right_count, want.right_count);
+  return true;
+}
+
+TEST(CategoricalOracleTest, ExhaustiveMatchesAscendingEnumeration) {
+  Random rng(4242);
+  GiniScratch scratch;
+  int valid = 0;
+  for (int trial = 0; trial < 800; ++trial) {
+    GiniOptions options;
+    options.criterion = trial % 2 == 0 ? SplitCriterion::kGini
+                                       : SplitCriterion::kEntropy;
+    const int cardinality = 1 + static_cast<int>(rng.Uniform(14));
+    options.max_exhaustive_cardinality = 14;
+    const int num_classes = 2 + static_cast<int>(rng.Uniform(7));
+    const CountMatrix matrix = RandomMatrix(&rng, cardinality, num_classes);
+    valid += ExpectSameWinner(matrix, options, &scratch);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(valid, 400);
+}
+
+TEST(CategoricalOracleTest, ExhaustiveUpToTwentyValues) {
+  Random rng(4343);
+  GiniScratch scratch;
+  for (int cardinality = 15; cardinality <= 20; ++cardinality) {
+    GiniOptions options;
+    options.max_exhaustive_cardinality = 20;
+    options.criterion = cardinality % 2 == 0 ? SplitCriterion::kGini
+                                             : SplitCriterion::kEntropy;
+    const int num_classes = 2 + (cardinality % 7);
+    const CountMatrix matrix = RandomMatrix(&rng, cardinality, num_classes);
+    ExpectSameWinner(matrix, options, &scratch);
+  }
+}
+
+TEST(CategoricalOracleTest, GreedyMatchesRebuildPerTrial) {
+  Random rng(4444);
+  GiniScratch scratch;
+  int valid = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    GiniOptions options;  // default limit 12: cardinality 13..64 is greedy
+    options.criterion = trial % 2 == 0 ? SplitCriterion::kGini
+                                       : SplitCriterion::kEntropy;
+    const int cardinality = 13 + static_cast<int>(rng.Uniform(52));
+    const int num_classes = 2 + static_cast<int>(rng.Uniform(7));
+    const CountMatrix matrix = RandomMatrix(&rng, cardinality, num_classes);
+    valid += ExpectSameWinner(matrix, options, &scratch);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(valid, 200);
+}
+
+TEST(CategoricalOracleTest, ForcedTiesKeepTheSmallerMask) {
+  GiniScratch scratch;
+  // Rows A, B, A, B with A = class 0 only, B = class 1 only: {0, 2} and its
+  // complement {1, 3} both score exactly 0; the smaller mask wins.
+  CountMatrix pair(4, 2);
+  for (int v = 0; v < 4; ++v) pair.AddCount(v, v % 2, 3);
+  EXPECT_TRUE(ExpectSameWinner(pair, GiniOptions{}, &scratch));
+  EXPECT_EQ(EvaluateCategoricalFromMatrix(0, pair, MatrixTotal(pair),
+                                          GiniOptions{}, &scratch)
+                .test.subset,
+            0b0101u);
+  // Five identical pure rows: every proper subset scores exactly 0.
+  CountMatrix same(5, 3);
+  for (int v = 0; v < 5; ++v) same.AddCount(v, 1, 2);
+  EXPECT_TRUE(ExpectSameWinner(same, GiniOptions{}, &scratch));
+  EXPECT_EQ(EvaluateCategoricalFromMatrix(0, same, MatrixTotal(same),
+                                          GiniOptions{}, &scratch)
+                .test.subset,
+            0b00001u);
+}
+
+TEST(CategoricalOracleTest, DegenerateDomainsGiveInvalid) {
+  GiniScratch scratch;
+  CountMatrix single(1, 3);  // 1-value domain: no proper subset
+  single.AddCount(0, 0, 5);
+  single.AddCount(0, 2, 4);
+  EXPECT_FALSE(ExpectSameWinner(single, GiniOptions{}, &scratch));
+  // One populated value among empty ones: every subset has nl 0 or n,
+  // on the exhaustive path and on the greedy one.
+  for (const int cardinality : {6, 30}) {
+    CountMatrix sparse(cardinality, 2);
+    sparse.AddCount(3, 0, 7);
+    sparse.AddCount(3, 1, 2);
+    EXPECT_FALSE(ExpectSameWinner(sparse, GiniOptions{}, &scratch));
+  }
+}
 
 }  // namespace
 }  // namespace smptree

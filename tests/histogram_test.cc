@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "subset_histogram.h"
+
 namespace smptree {
 namespace {
 
@@ -171,12 +173,12 @@ TEST(CountMatrixTest, SubsetHistogram) {
   m.Add(2, 0);
   m.Add(3, 1);
   ClassHistogram h;
-  m.SubsetHistogram(0b0101, &h);  // values {0, 2}
+  SubsetHistogram(m, 0b0101, &h);  // values {0, 2}
   EXPECT_EQ(h.count(0), 2);
   EXPECT_EQ(h.count(1), 0);
-  m.SubsetHistogram(0b1111, &h);
+  SubsetHistogram(m, 0b1111, &h);
   EXPECT_EQ(h.Total(), 4);
-  m.SubsetHistogram(0, &h);
+  SubsetHistogram(m, 0, &h);
   EXPECT_EQ(h.Total(), 0);
 }
 

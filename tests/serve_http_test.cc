@@ -143,6 +143,27 @@ TEST_F(ServeHttpTest, PredictRejectsBadRequests) {
   }
 }
 
+TEST_F(ServeHttpTest, PredictRejectsNonFiniteContinuousValues) {
+  // 1e400 parses to +-inf and 1e39 overflows float: a 400 naming the tuple
+  // and the attribute, never a score computed from an infinity.
+  for (const char* age : {"1e400", "-1e400", "1e39"}) {
+    const HttpClientResponse response =
+        Call("POST", "/v1/predict",
+             std::string(R"({"tuples": [[20, "sedan"], [)") + age +
+                 R"(, "sedan"]]})");
+    EXPECT_EQ(response.status, 400) << age;
+    EXPECT_NE(response.body.find("row 1"), std::string::npos)
+        << response.body;
+    EXPECT_NE(response.body.find("'age'"), std::string::npos)
+        << response.body;
+  }
+  // The largest finite float still scores.
+  EXPECT_EQ(Call("POST", "/v1/predict",
+                 R"({"tuples": [[3.4e38, "sedan"]]})")
+                .status,
+            200);
+}
+
 TEST_F(ServeHttpTest, RoutingErrors) {
   EXPECT_EQ(Call("GET", "/v1/nope").status, 404);
   EXPECT_EQ(Call("GET", "/v1/predict").status, 405);  // POST-only path
