@@ -141,6 +141,15 @@ double MeasureSeconds(int reps, const Body& body) {
   return best;
 }
 
+/// Copies row `tuple` of `batch` into `out` (resized to num_attrs).
+void GatherTuple(const Batch& batch, int64_t tuple, TupleValues* out) {
+  out->resize(static_cast<size_t>(batch.num_attrs()));
+  for (int a = 0; a < batch.num_attrs(); ++a) {
+    (*out)[static_cast<size_t>(a)] =
+        batch.column(a)[static_cast<size_t>(tuple)];
+  }
+}
+
 /// The engine's pre-flattening scoring loop, verbatim: gather each row into
 /// a scratch TupleValues and walk the pointer-linked tree.
 void PointerScoreTree(const DecisionTree& tree, const std::vector<Batch>& bs,
@@ -149,7 +158,7 @@ void PointerScoreTree(const DecisionTree& tree, const std::vector<Batch>& bs,
   TupleValues row;
   for (const Batch& batch : bs) {
     for (int64_t t = 0; t < batch.num_tuples(); ++t) {
-      batch.GatherTuple(t, &row);
+      GatherTuple(batch, t, &row);
       labels->push_back(tree.Classify(row));
     }
   }
@@ -166,7 +175,7 @@ void PointerScoreForest(const Forest& forest, const std::vector<Batch>& bs,
   std::vector<double> prow;
   for (const Batch& batch : bs) {
     for (int64_t t = 0; t < batch.num_tuples(); ++t) {
-      batch.GatherTuple(t, &row);
+      GatherTuple(batch, t, &row);
       labels->push_back(forest.Probabilities(row, &prow));
       probs->insert(probs->end(), prow.begin(), prow.end());
     }

@@ -2,7 +2,7 @@
 // InferenceService (real sockets on loopback) is driven open-loop by C
 // keep-alive connections, sweeping C across {1, 4, 16, 64}. The point
 // under test is the connection path, not the model: the event loop must
-// keep answering as C grows far past the 4 dispatch threads, where a
+// keep answering as C grows far past the 4 event loops, where a
 // thread-per-connection server would strand all but 4 clients.
 //
 //   serve_scaling [--quick] [--rate R] [--requests N] [--timeout-ms T]
@@ -42,7 +42,7 @@ namespace smptree {
 namespace bench {
 namespace {
 
-constexpr int kDispatchThreads = 4;
+constexpr int kEventLoops = 4;
 constexpr int64_t kBatchTuples = 16;
 
 struct Config {
@@ -199,8 +199,8 @@ int Main(int argc, char** argv) {
   }
 
   PrintBanner("Serving: connection scaling",
-              Fmt("open loop, %d dispatch threads, batch %lld, rate %.0f/s",
-                  kDispatchThreads, static_cast<long long>(kBatchTuples),
+              Fmt("open loop, %d event loops, batch %lld, rate %.0f/s",
+                  kEventLoops, static_cast<long long>(kBatchTuples),
                   config.rate));
 
   const Dataset data = MakeDataset(5, 9, ScaledTuples(4000));
@@ -216,7 +216,7 @@ int Main(int argc, char** argv) {
   const std::string model_bytes = SerializeTree(*trained->tree);
   const std::string body = PredictBody(data);
 
-  // Sweep grid: connection counts up to 16x the dispatch-thread count.
+  // Sweep grid: connection counts up to 16x the event-loop count.
   const int sweep[] = {1, 4, 16, 64};
 
   std::vector<Point> points;
@@ -226,7 +226,7 @@ int Main(int argc, char** argv) {
     ServiceOptions options;
     options.engine.num_workers = 0;
     options.http.port = 0;
-    options.http.num_threads = kDispatchThreads;
+    options.http.num_threads = kEventLoops;
     options.allow_reload = false;
     auto tree = DeserializeTree(data.schema(), model_bytes);
     if (!tree.ok()) {
@@ -260,17 +260,17 @@ int Main(int argc, char** argv) {
   table.Print();
   std::printf(
       "\nexpected shape: every row stays healthy (no drops, no errors)\n"
-      "as connections grow 16x past the dispatch-thread count; p99 tracks\n"
+      "as connections grow 16x past the event-loop count; p99 tracks\n"
       "offered load, not connection count.\n");
 
   if (!config.out.empty()) {
     std::string json = StringPrintf(
         "{\"suite\": \"serve_scaling\", \"schema_version\": 1,\n"
         " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
-        "\"dispatch_threads\": %d, \"batch\": %lld, \"rate\": %.1f, "
+        "\"event_loops\": %d, \"batch\": %lld, \"rate\": %.1f, "
         "\"requests\": %lld, \"timeout_ms\": %lld, \"quick\": %s},\n"
         " \"runs\": [",
-        HardwareThreads(), BenchScale(), kDispatchThreads,
+        HardwareThreads(), BenchScale(), kEventLoops,
         static_cast<long long>(kBatchTuples), config.rate,
         static_cast<long long>(config.requests),
         static_cast<long long>(config.timeout_ms),
@@ -279,11 +279,11 @@ int Main(int argc, char** argv) {
       const Point& p = points[i];
       json += StringPrintf(
           "%s\n  {\"connections\": %d, "
-          "\"dispatch_threads\": %d, \"offered_rps\": %.1f, "
+          "\"event_loops\": %d, \"offered_rps\": %.1f, "
           "\"batch\": %lld, \"sent\": %llu, \"dropped\": %llu, "
           "\"timeouts\": %llu, \"errors\": %llu, \"seconds\": %s, "
           "\"tuples_per_second\": %s, \"p50_ms\": %s, \"p99_ms\": %s}",
-          i == 0 ? "" : ",", p.connections, kDispatchThreads,
+          i == 0 ? "" : ",", p.connections, kEventLoops,
           p.offered_rps, static_cast<long long>(kBatchTuples),
           (unsigned long long)p.sent, (unsigned long long)p.dropped,
           (unsigned long long)p.timeouts, (unsigned long long)p.errors,

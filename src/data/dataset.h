@@ -77,9 +77,8 @@ Status NonFiniteValueError(const AttrInfo& info, int64_t row, float value);
 
 /// Rejects a continuous value the trainers cannot order: NaN or an
 /// infinity, including finite input text that overflows when narrowed to
-/// float (1e300). The readers, Dataset::Append and the predict decoder
-/// call it on every continuous value, so the accepted case is one inline
-/// compare. `row` is the row number the error names beside the attribute
+/// float (1e300). The readers and Dataset::Append call it on every
+/// continuous value, so the accepted case is one inline compare. `row` is the row number the error names beside the attribute
 /// (the CSV reader passes its line number). The missing-value sentinel is
 /// finite and passes.
 inline Status CheckContinuousValue(const AttrInfo& info, int64_t row,

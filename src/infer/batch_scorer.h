@@ -27,7 +27,7 @@
 //     node ids never round-trip through a cursor array;
 //   - per-node column pointers are bound once per (tree, batch), so the
 //     walk's critical chain is id -> column -> value -> compare -> id, with
-//     no per-tuple GatherTuple row copy and no virtual dispatch.
+//     no per-tuple row copy and no virtual dispatch.
 //
 // Parity: labels equal DecisionTree::Classify per tuple, and forest labels
 // and vote-share probabilities are byte-identical to Forest::Vote /

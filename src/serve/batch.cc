@@ -6,13 +6,6 @@
 
 namespace smptree {
 
-void Batch::GatherTuple(int64_t tuple, TupleValues* out) const {
-  out->resize(columns_.size());
-  for (size_t a = 0; a < columns_.size(); ++a) {
-    (*out)[a] = columns_[a][static_cast<size_t>(tuple)];
-  }
-}
-
 namespace {
 
 Status ValueError(const AttrInfo& info, int64_t row, const char* what) {
@@ -29,7 +22,10 @@ Status ValueFromJson(const AttrInfo& info, const JsonValue& v, int64_t row,
       // 1e400 parses to inf and 1e39 overflows float: reject both, as the
       // readers do, rather than score an infinity.
       out->f = static_cast<float>(v.number_value());
-      return CheckContinuousValue(info, row, out->f);
+      if (!std::isfinite(out->f)) {
+        return ValueError(info, row, "non-finite continuous value");
+      }
+      return Status::OK();
     }
     if (!v.is_null()) return ValueError(info, row, "expected a number");
     out->f = kMissingValue;

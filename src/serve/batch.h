@@ -1,6 +1,6 @@
 // Batch: the serving subsystem's unit of work -- a columnar slab of tuples
 // to score, reusing the core AttrValue representation (core/records.h) so a
-// batch lays out exactly like Dataset columns and row gathers are cheap.
+// batch lays out exactly like Dataset columns.
 // Batches are built either from the JSON wire format (HTTP predict
 // requests) or straight from a Dataset (CLI predict, load generator,
 // benchmarks).
@@ -29,11 +29,6 @@ class Batch {
   const std::vector<AttrValue>& column(int attr) const {
     return columns_[attr];
   }
-
-  /// Gathers row `tuple` into `out` (resized to num_attrs). `out` is a
-  /// caller-owned scratch buffer so a scoring arena can reuse it
-  /// across rows with no allocation.
-  void GatherTuple(int64_t tuple, TupleValues* out) const;
 
   /// Builds a batch from the predict wire format:
   ///   {"tuples": [[v0, v1, ...], ...]}

@@ -3,7 +3,10 @@
 // flattened model (infer/batch_scorer.h) -- level-synchronous traversal
 // straight off the Batch columns, no per-tuple row gather, no pointer
 // chasing. There are no engine threads and no request hand-off: the caller
-// borrows one of `num_workers` scoring slots, scores, and returns it.
+// (an HTTP event loop running the predict handler inline, or the CLI)
+// borrows one of `num_workers` scoring slots, scores, and returns it. With
+// the default sizes (4 event loops, one slot per hardware thread) no loop
+// waits for a slot.
 //
 // Concurrency model (the read-side mirror of the paper's build-side
 // protocols): callers share NOTHING mutable on the hot path. Each batch

@@ -12,8 +12,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "serve/http_parser.h"
 #include "util/string_util.h"
 
 namespace smptree {
@@ -22,7 +27,7 @@ namespace {
 // epoll user-data ids for the two non-connection fds; connection ids are
 // allocated from 1 upward so they can never collide.
 constexpr uint64_t kListenerId = 0;
-constexpr uint64_t kWakeId = ~uint64_t{0};
+constexpr uint64_t kStopId = ~uint64_t{0};
 
 int64_t NowMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -75,15 +80,72 @@ Status BindHttpListener(const HttpServer::Options& options, int* out_fd,
   return Status::OK();
 }
 
+struct Connection {
+  enum class State { kReading, kWriting };
+
+  explicit Connection(HttpRequestParser::Limits limits) : parser(limits) {}
+
+  int fd = -1;
+  uint64_t id = 0;
+  State state = State::kReading;
+  HttpRequestParser parser;
+  std::string out;        ///< rendered bytes not yet fully sent
+  size_t out_offset = 0;  ///< already-sent prefix of `out`
+  bool close_after_write = false;
+  bool want_write = false;   ///< EPOLLOUT currently armed
+  bool want_read = false;    ///< EPOLLIN currently armed
+  int64_t deadline_ms = 0;   ///< absolute steady-clock ms
+  int64_t queued_ms = 0;     ///< at_ms of its live heap entry; 0 = none
+};
+
+/// Heap entry for the lazy deadline heap (smallest deadline on top).
+struct Deadline {
+  int64_t at_ms = 0;
+  uint64_t conn_id = 0;
+  bool operator>(const Deadline& other) const { return at_ms > other.at_ms; }
+};
+
 }  // namespace
 
-HttpServer::HttpServer(Options options)
-    : options_(std::move(options)),
-      // Bounds loop->worker handoff; a full queue blocks the loop thread,
-      // which is the intended backpressure once every worker is busy and
-      // this many requests are already waiting.
-      dispatch_queue_(static_cast<size_t>(
-          std::max(64, std::max(1, options_.num_threads) * 4))) {}
+class HttpServer::EventLoop {
+ public:
+  explicit EventLoop(HttpServer* server) : server_(server) {}
+  ~EventLoop() {
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  }
+
+  /// Creates the epoll set and registers the shared listener and stop fd.
+  Status Open();
+
+  /// The loop body; returns once Stop() was seen and every connection of
+  /// this loop is closed.
+  void Run();
+
+ private:
+  void HandleAccept();
+  void HandleReadable(Connection* conn);
+  /// Answers the requests complete in `conn`'s parser, one after
+  /// another, until it needs more bytes, waits for EPOLLOUT, or closes.
+  void Serve(Connection* conn, bool pipelined);
+  /// Sends the rest of `conn->out`. True once all of it is sent and the
+  /// connection stays open (back in kReading); false when the connection
+  /// closed or waits for EPOLLOUT.
+  bool TryWrite(Connection* conn);
+  void ExpireDeadlines(int64_t now_ms);
+  void SetDeadline(Connection* conn, int64_t at_ms);
+  int64_t IoDeadline() const;
+  void UpdateInterest(Connection* conn, bool want_read, bool want_write);
+  void CloseConnection(Connection* conn);
+  int NextWaitMillis(int64_t now_ms) const;
+
+  HttpServer* const server_;
+  int epoll_fd_ = -1;
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
+  uint64_t next_conn_id_ = 1;
+  std::vector<Deadline> deadlines_;
+};
+
+HttpServer::HttpServer(Options options) : options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -95,54 +157,41 @@ void HttpServer::Route(const std::string& method, const std::string& path,
 Status HttpServer::Start() {
   SMPTREE_RETURN_IF_ERROR(
       BindHttpListener(options_, &listen_fd_, &bound_port_));
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) {
-    const Status s = Status::IOError(
-        StringPrintf("epoll_create1: %s", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return s;
+  Status status = Status::OK();
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) {
+    status = Status::IOError(StringPrintf("eventfd: %s", std::strerror(errno)));
   }
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    const Status s =
-        Status::IOError(StringPrintf("eventfd: %s", std::strerror(errno)));
-    ::close(listen_fd_);
-    ::close(epoll_fd_);
-    listen_fd_ = epoll_fd_ = -1;
-    return s;
+  for (int i = 0; status.ok() && i < std::max(1, options_.num_threads); ++i) {
+    loops_.push_back(std::make_unique<EventLoop>(this));
+    status = loops_.back()->Open();
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerId;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeId;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
+  if (!status.ok()) {
+    loops_.clear();
+    ::close(listen_fd_);
+    if (stop_fd_ >= 0) ::close(stop_fd_);
+    listen_fd_ = stop_fd_ = -1;
+    return status;
+  }
   running_.store(true, std::memory_order_release);
-  threads_.emplace_back([this] { LoopThread(); });
-  for (int i = 0; i < std::max(1, options_.num_threads); ++i) {
-    threads_.emplace_back([this] { WorkerThread(); });
+  for (const std::unique_ptr<EventLoop>& loop : loops_) {
+    threads_.emplace_back([raw = loop.get()] { raw->Run(); });
   }
   return Status::OK();
 }
 
 void HttpServer::Stop() {
   if (running_.exchange(false, std::memory_order_acq_rel)) {
-    WakeLoop();
+    // Never drained: the fd stays readable and wakes every loop.
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t n = ::write(stop_fd_, &one, sizeof(one));
   }
-  // Join the loop thread first: it drains in-flight dispatches, flushes
-  // their responses, closes every connection, and closes the dispatch
-  // queue, which is what lets the workers exit.
-  for (std::thread& t : threads_) {
-    if (t.joinable()) t.join();
-  }
+  for (std::thread& t : threads_) t.join();
   threads_.clear();
+  loops_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  listen_fd_ = wake_fd_ = epoll_fd_ = -1;
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+  listen_fd_ = stop_fd_ = -1;
 }
 
 FrontEndStats HttpServer::Stats() const {
@@ -161,41 +210,42 @@ FrontEndStats HttpServer::Stats() const {
   return stats;
 }
 
-void HttpServer::WakeLoop() {
-  const uint64_t one = 1;
-  // Best effort: a full eventfd counter already guarantees a pending wake.
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void HttpServer::WorkerThread() {
-  for (;;) {
-    std::optional<DispatchJob> job = dispatch_queue_.Pop();
-    if (!job.has_value()) return;
-    const HttpResponse response = Dispatch(job->request);
-    std::string bytes = RenderHttpResponse(response, job->keep_alive);
-    {
-      MutexLock lock(completions_mu_);
-      completions_.push_back(
-          {job->conn_id, !job->keep_alive, std::move(bytes)});
-    }
-    WakeLoop();
+Status HttpServer::EventLoop::Open() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    return Status::IOError(
+        StringPrintf("epoll_create1: %s", std::strerror(errno)));
   }
+  epoll_event ev{};
+  // Exclusive: a new connection wakes one loop waiting in epoll_wait, not
+  // all of them.
+  ev.events = EPOLLIN | EPOLLEXCLUSIVE;
+  ev.data.u64 = kListenerId;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, server_->listen_fd_, &ev) != 0) {
+    return Status::IOError(
+        StringPrintf("epoll_ctl listener: %s", std::strerror(errno)));
+  }
+  ev.events = EPOLLIN;
+  ev.data.u64 = kStopId;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, server_->stop_fd_, &ev) != 0) {
+    return Status::IOError(
+        StringPrintf("epoll_ctl stop fd: %s", std::strerror(errno)));
+  }
+  return Status::OK();
 }
 
-void HttpServer::LoopThread() {
+void HttpServer::EventLoop::Run() {
   std::vector<epoll_event> events(128);
-  bool draining = false;
-  int64_t drain_deadline_ms = 0;
-  for (;;) {
-    if (!draining && !running_.load(std::memory_order_acquire)) {
-      // Stop() was called: quit accepting, drop idle keep-alive
-      // connections, and let already-dispatched requests finish and flush
-      // (bounded below). The queue close is what terminates the workers.
-      draining = true;
-      drain_deadline_ms =
-          NowMillis() + int64_t{options_.io_timeout_seconds} * 1000;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-      dispatch_queue_.Close();
+  bool stopping = false;
+  while (!stopping || !connections_.empty()) {
+    if (!stopping && !server_->running()) {
+      // Stop() was called: quit accepting and stop watching the stop fd
+      // (it stays readable), drop idle connections, and keep looping only
+      // to flush the responses already rendered. Each of those holds a
+      // write deadline, so the drain is bounded.
+      stopping = true;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, server_->listen_fd_, nullptr);
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, server_->stop_fd_, nullptr);
       std::vector<Connection*> idle;
       for (auto& [id, conn] : connections_) {
         if (conn->state == Connection::State::kReading) {
@@ -203,15 +253,13 @@ void HttpServer::LoopThread() {
         }
       }
       for (Connection* conn : idle) CloseConnection(conn);
-    }
-    if (draining &&
-        (!HasPendingWork() || NowMillis() >= drain_deadline_ms)) {
-      break;
+      continue;
     }
 
-    const int timeout = draining ? 10 : NextWaitMillis(NowMillis());
-    const int n = ::epoll_wait(epoll_fd_, events.data(),
-                               static_cast<int>(events.size()), timeout);
+    const int n =
+        ::epoll_wait(epoll_fd_, events.data(),
+                     static_cast<int>(events.size()),
+                     NextWaitMillis(NowMillis()));
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll fd itself failed; nothing sane left to do
@@ -220,16 +268,10 @@ void HttpServer::LoopThread() {
       const uint64_t id = events[static_cast<size_t>(i)].data.u64;
       const uint32_t mask = events[static_cast<size_t>(i)].events;
       if (id == kListenerId) {
-        if (!draining) HandleAccept();
+        HandleAccept();
         continue;
       }
-      if (id == kWakeId) {
-        uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        DrainCompletions();
-        continue;
-      }
+      if (id == kStopId) continue;  // seen through running() above
       auto it = connections_.find(id);
       if (it == connections_.end()) continue;  // closed earlier this batch
       Connection* conn = it->second.get();
@@ -240,63 +282,52 @@ void HttpServer::LoopThread() {
       if ((mask & EPOLLIN) != 0 &&
           conn->state == Connection::State::kReading) {
         HandleReadable(conn);
-      }
-      // Re-find: the read path may have closed or re-stated the connection.
-      auto again = connections_.find(id);
-      if (again == connections_.end()) continue;
-      conn = again->second.get();
-      if ((mask & EPOLLOUT) != 0 &&
-          conn->state == Connection::State::kWriting) {
-        TryWrite(conn);
+      } else if ((mask & EPOLLOUT) != 0 &&
+                 conn->state == Connection::State::kWriting &&
+                 TryWrite(conn)) {
+        conn->parser.Advance();
+        Serve(conn, /*pipelined=*/true);
       }
     }
-    DrainCompletions();
     ExpireDeadlines(NowMillis());
   }
 
-  // Loop exit: anything still open is torn down here, on the owning
-  // thread. Workers may still post completions afterwards; they are
-  // dropped by the next (nonexistent) drain, which is fine -- their
-  // connections are gone.
+  // Anything still open is torn down here, on the owning thread.
   while (!connections_.empty()) {
     CloseConnection(connections_.begin()->second.get());
   }
 }
 
-void HttpServer::HandleAccept() {
-  for (;;) {
-    const int fd =
-        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN (drained) or a transient error; epoll re-arms us
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    open_connections_.fetch_add(1, std::memory_order_relaxed);
+void HttpServer::EventLoop::HandleAccept() {
+  // One connection per readiness event: the listener stays readable while
+  // more wait, and the next one goes to whichever loop is idle first.
+  const int fd = ::accept4(server_->listen_fd_, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+  if (fd < 0) return;  // EAGAIN: another loop took it; or a transient error
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  server_->accepted_.fetch_add(1, std::memory_order_relaxed);
+  server_->open_connections_.fetch_add(1, std::memory_order_relaxed);
 
-    auto conn = std::make_unique<Connection>(HttpRequestParser::Limits{
-        options_.max_header_bytes, options_.max_body_bytes});
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->want_read = true;
-    Connection* raw = conn.get();
-    connections_[raw->id] = std::move(conn);
+  auto conn = std::make_unique<Connection>(HttpRequestParser::Limits{
+      server_->options_.max_header_bytes, server_->options_.max_body_bytes});
+  conn->fd = fd;
+  conn->id = next_conn_id_++;
+  conn->want_read = true;
+  Connection* raw = conn.get();
+  connections_[raw->id] = std::move(conn);
 
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = raw->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      CloseConnection(raw);
-      continue;
-    }
-    SetDeadline(raw, NowMillis() +
-                         int64_t{options_.io_timeout_seconds} * 1000);
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = raw->id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    CloseConnection(raw);
+    return;
   }
+  SetDeadline(raw, IoDeadline());
 }
 
-void HttpServer::HandleReadable(Connection* conn) {
+void HttpServer::EventLoop::HandleReadable(Connection* conn) {
   char chunk[16384];
   for (;;) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -305,8 +336,7 @@ void HttpServer::HandleReadable(Connection* conn) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         // Partial request: stay in kReading with a refreshed idle
         // deadline.
-        SetDeadline(conn, NowMillis() +
-                              int64_t{options_.io_timeout_seconds} * 1000);
+        SetDeadline(conn, IoDeadline());
         return;
       }
       CloseConnection(conn);
@@ -320,77 +350,48 @@ void HttpServer::HandleReadable(Connection* conn) {
         conn->parser.Feed(chunk, static_cast<size_t>(n));
     if (state == HttpRequestParser::State::kComplete ||
         state == HttpRequestParser::State::kError) {
-      // One request in flight per connection: stop reading until the
-      // response is written (any pipelined followers stay buffered).
-      OnParserProgress(conn, /*pipelined=*/false);
+      // One request at a time per connection: any pipelined followers
+      // stay buffered in the parser until this response is sent.
+      Serve(conn, /*pipelined=*/false);
       return;
     }
   }
 }
 
-void HttpServer::OnParserProgress(Connection* conn, bool pipelined) {
-  switch (conn->parser.state()) {
-    case HttpRequestParser::State::kComplete:
-      StartDispatch(conn, pipelined);
-      return;
-    case HttpRequestParser::State::kError:
-      SendError(conn);
-      return;
-    default:
-      // Still mid-request: wait for more bytes.
+void HttpServer::EventLoop::Serve(Connection* conn, bool pipelined) {
+  HttpRequestParser& parser = conn->parser;
+  for (;;) {
+    if (parser.state() == HttpRequestParser::State::kComplete) {
+      server_->requests_.fetch_add(1, std::memory_order_relaxed);
+      if (pipelined) {
+        server_->pipelined_requests_.fetch_add(1, std::memory_order_relaxed);
+      }
+      const bool keep_alive = parser.keep_alive();
+      conn->out = RenderHttpResponse(server_->Dispatch(parser.request()),
+                                     keep_alive);
+      conn->close_after_write = !keep_alive;
+      parser.Reset();
+    } else if (parser.state() == HttpRequestParser::State::kError) {
+      server_->protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      const HttpResponse response{parser.error_status(), "text/plain",
+                                  parser.error_message(), {}};
+      conn->out = RenderHttpResponse(response, false);
+      conn->close_after_write = true;
+    } else {
+      // Mid-request (or idle): wait for more bytes.
       UpdateInterest(conn, /*want_read=*/true, /*want_write=*/false);
-      SetDeadline(conn, NowMillis() +
-                            int64_t{options_.io_timeout_seconds} * 1000);
+      SetDeadline(conn, IoDeadline());
       return;
+    }
+    if (!TryWrite(conn)) return;  // closed, or waiting for EPOLLOUT
+    // Pipelining: a follower request may already be buffered in the
+    // parser; serve it without touching the socket.
+    parser.Advance();
+    pipelined = true;
   }
 }
 
-void HttpServer::StartDispatch(Connection* conn, bool pipelined) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (pipelined) pipelined_requests_.fetch_add(1, std::memory_order_relaxed);
-
-  DispatchJob job;
-  job.conn_id = conn->id;
-  job.keep_alive = conn->parser.keep_alive();
-  job.request = std::move(conn->parser.request());
-  conn->parser.Reset();
-
-  conn->state = Connection::State::kDispatching;
-  UpdateInterest(conn, /*want_read=*/false, /*want_write=*/false);
-  SetDeadline(conn, 0);  // handlers own the latency while dispatching
-
-  // Blocking push is deliberate: with every worker busy and the queue
-  // full, the loop thread stalling is the closed-loop backpressure that
-  // eventually fills the kernel accept backlog.
-  if (!dispatch_queue_.Push(std::move(job))) {
-    CloseConnection(conn);  // shutting down; the request is dropped
-    return;
-  }
-  ++outstanding_dispatches_;
-}
-
-void HttpServer::SendError(Connection* conn) {
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-  const HttpResponse response{conn->parser.error_status(), "text/plain",
-                              conn->parser.error_message(), {}};
-  EnqueueResponse(conn, RenderHttpResponse(response, false),
-                  /*close_after=*/true);
-}
-
-void HttpServer::EnqueueResponse(Connection* conn, std::string bytes,
-                                  bool close_after) {
-  conn->out = std::move(bytes);
-  conn->out_offset = 0;
-  conn->close_after_write = close_after;
-  conn->state = Connection::State::kWriting;
-  // Bound how long an unread response may sit in the buffer: a reader
-  // stalled past the io timeout is reaped like an idle connection.
-  SetDeadline(conn, NowMillis() +
-                        int64_t{options_.io_timeout_seconds} * 1000);
-  TryWrite(conn);
-}
-
-void HttpServer::TryWrite(Connection* conn) {
+bool HttpServer::EventLoop::TryWrite(Connection* conn) {
   while (conn->out_offset < conn->out.size()) {
     const ssize_t n =
         ::send(conn->fd, conn->out.data() + conn->out_offset,
@@ -398,16 +399,22 @@ void HttpServer::TryWrite(Connection* conn) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Write backpressure: the socket buffer is full because the
-        // client is not reading. Arm EPOLLOUT until it drains.
-        if (!conn->want_write) {
-          backpressure_stalls_.fetch_add(1, std::memory_order_relaxed);
+        if (conn->state != Connection::State::kWriting) {
+          // Write backpressure: the socket buffer is full because the
+          // client is not reading. Arm EPOLLOUT until it drains, and
+          // bound how long the unread rest may sit in the buffer: a
+          // reader stalled past the io timeout is reaped like an idle
+          // connection.
+          server_->backpressure_stalls_.fetch_add(1,
+                                                  std::memory_order_relaxed);
+          conn->state = Connection::State::kWriting;
+          UpdateInterest(conn, /*want_read=*/false, /*want_write=*/true);
+          SetDeadline(conn, IoDeadline());
         }
-        UpdateInterest(conn, /*want_read=*/false, /*want_write=*/true);
-        return;
+        return false;
       }
       CloseConnection(conn);
-      return;
+      return false;
     }
     conn->out_offset += static_cast<size_t>(n);
   }
@@ -415,53 +422,26 @@ void HttpServer::TryWrite(Connection* conn) {
   // Response fully written.
   conn->out.clear();
   conn->out_offset = 0;
-  if (conn->close_after_write ||
-      !running_.load(std::memory_order_acquire)) {
+  if (conn->close_after_write || !server_->running()) {
     CloseConnection(conn);
-    return;
+    return false;
   }
   conn->state = Connection::State::kReading;
-  // Pipelining: a follower request may already be buffered in the parser;
-  // serve it without touching the socket.
-  conn->parser.Advance();
-  if (conn->parser.state() != HttpRequestParser::State::kReadingHeaders ||
-      conn->parser.buffered_bytes() > 0) {
-    OnParserProgress(conn, /*pipelined=*/true);
-    return;
-  }
-  UpdateInterest(conn, /*want_read=*/true, /*want_write=*/false);
-  SetDeadline(conn, NowMillis() +
-                        int64_t{options_.io_timeout_seconds} * 1000);
+  return true;
 }
 
-void HttpServer::DrainCompletions() {
-  std::vector<Completion> batch;
-  {
-    MutexLock lock(completions_mu_);
-    batch.swap(completions_);
-  }
-  for (Completion& done : batch) {
-    --outstanding_dispatches_;
-    auto it = connections_.find(done.conn_id);
-    if (it == connections_.end()) continue;  // connection died meanwhile
-    EnqueueResponse(it->second.get(), std::move(done.bytes),
-                    done.close_after);
-  }
-}
-
-void HttpServer::ExpireDeadlines(int64_t now_ms) {
+void HttpServer::EventLoop::ExpireDeadlines(int64_t now_ms) {
   while (!deadlines_.empty() && deadlines_.front().at_ms <= now_ms) {
     const Deadline expired = deadlines_.front();
     std::pop_heap(deadlines_.begin(), deadlines_.end(),
                   std::greater<Deadline>());
     deadlines_.pop_back();
-    deadline_entries_.store(deadlines_.size(), std::memory_order_relaxed);
+    server_->deadline_entries_.fetch_sub(1, std::memory_order_relaxed);
     auto it = connections_.find(expired.conn_id);
     if (it == connections_.end()) continue;         // already closed
     Connection* conn = it->second.get();
     if (conn->queued_ms != expired.at_ms) continue;  // superseded entry
     conn->queued_ms = 0;
-    if (conn->deadline_ms == 0) continue;  // dispatching: no deadline now
     if (conn->deadline_ms > now_ms) {
       // The connection progressed since this entry was queued.
       SetDeadline(conn, conn->deadline_ms);
@@ -470,26 +450,28 @@ void HttpServer::ExpireDeadlines(int64_t now_ms) {
     CloseConnection(conn);
     // Counted after the close, with release: a Stats() reader that sees
     // the timeout (acquire) also sees the connection gone.
-    idle_timeouts_.fetch_add(1, std::memory_order_release);
+    server_->idle_timeouts_.fetch_add(1, std::memory_order_release);
   }
 }
 
-void HttpServer::SetDeadline(Connection* conn, int64_t at_ms) {
+void HttpServer::EventLoop::SetDeadline(Connection* conn, int64_t at_ms) {
   conn->deadline_ms = at_ms;
-  // 0 lazily invalidates the queued entry; a later deadline waits for the
-  // queued entry to come due (ExpireDeadlines re-queues it then).
-  if (at_ms == 0 || (conn->queued_ms != 0 && conn->queued_ms <= at_ms)) {
-    return;
-  }
+  // A later deadline waits for the queued entry to come due
+  // (ExpireDeadlines re-queues it then).
+  if (conn->queued_ms != 0 && conn->queued_ms <= at_ms) return;
   conn->queued_ms = at_ms;
   deadlines_.push_back({at_ms, conn->id});
   std::push_heap(deadlines_.begin(), deadlines_.end(),
                  std::greater<Deadline>());
-  deadline_entries_.store(deadlines_.size(), std::memory_order_relaxed);
+  server_->deadline_entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void HttpServer::UpdateInterest(Connection* conn, bool want_read,
-                                 bool want_write) {
+int64_t HttpServer::EventLoop::IoDeadline() const {
+  return NowMillis() + int64_t{server_->options_.io_timeout_seconds} * 1000;
+}
+
+void HttpServer::EventLoop::UpdateInterest(Connection* conn, bool want_read,
+                                           bool want_write) {
   if (conn->want_read == want_read && conn->want_write == want_write) return;
   epoll_event ev{};
   ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
@@ -500,29 +482,18 @@ void HttpServer::UpdateInterest(Connection* conn, bool want_read,
   }
 }
 
-void HttpServer::CloseConnection(Connection* conn) {
+void HttpServer::EventLoop::CloseConnection(Connection* conn) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
   connections_.erase(conn->id);
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
+  server_->open_connections_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-int HttpServer::NextWaitMillis(int64_t now_ms) const {
-  if (deadlines_.empty()) return -1;  // the eventfd wakes us for everything
+int HttpServer::EventLoop::NextWaitMillis(int64_t now_ms) const {
+  if (deadlines_.empty()) return -1;  // an fd event wakes us for the rest
   const int64_t until = deadlines_.front().at_ms - now_ms;
   if (until <= 0) return 0;
   return static_cast<int>(std::min<int64_t>(until, 1000));
-}
-
-bool HttpServer::HasPendingWork() const {
-  if (outstanding_dispatches_ > 0) return true;
-  for (const auto& [id, conn] : connections_) {
-    if (conn->state == Connection::State::kWriting &&
-        conn->out_offset < conn->out.size()) {
-      return true;
-    }
-  }
-  return false;
 }
 
 HttpResponse HttpServer::Dispatch(const HttpRequest& request) const {

@@ -1,46 +1,52 @@
-// HTTP/1.1 server for the inference front end: one event-loop thread
-// multiplexes the listener and every connection socket (all nonblocking)
-// over epoll, a small dispatch pool runs the route handlers, and completed
-// responses flow back to the loop through a mutex-protected completion
-// queue + eventfd wakeup. Concurrent *connections* are therefore bounded by
-// memory, not by thread count. Supports exactly what the serving endpoints
-// need -- GET/POST, Content-Length bodies, keep-alive, pipelining -- and
-// nothing else (no TLS, no chunked encoding).
+// HTTP/1.1 server for the inference front end, run to completion:
+// `num_threads` event loops each own an epoll set, a connection table and
+// a deadline heap, and each runs the route handler inline on the thread
+// that read the request -- parse, handler, render and send, with no
+// hand-off to another thread. Every loop waits on the one nonblocking
+// listener (EPOLLEXCLUSIVE) and accepts one connection per readiness
+// event, so a burst of connects spreads across the loops idle in
+// epoll_wait; a connection then lives on the loop that accepted it.
+// Concurrent *connections* are therefore bounded by memory, not by thread
+// count. Supports exactly what the serving endpoints need -- GET/POST,
+// Content-Length bodies, keep-alive, pipelining -- and nothing else (no
+// TLS, no chunked encoding).
 //
-// Per-connection state machine (driven entirely by the loop thread, which
-// exclusively owns every Connection object):
+// Per-connection state machine (driven entirely by the owning loop):
 //
-//   kReading ----complete request----> kDispatching ----response----+
-//      ^  \                                                         |
-//      |   `--parse error--> kWriting (error response, then close)  |
-//      +-------------- response fully written <-------- kWriting <--+
+//   kReading --complete request: handler runs inline--> send response
+//      ^  \                                              |         |
+//      |   `--parse error--> error response, then close  |      EAGAIN
+//      |                                                 |         v
+//      +------------------ response fully sent <---------+---- kWriting
 //
 //   - kReading: EPOLLIN armed; bytes feed the incremental parser. A
-//     complete request disarms EPOLLIN (no new reads while a request is in
-//     flight -- one request at a time per connection keeps responses
-//     ordered) and hands the request to the dispatch queue.
-//   - kDispatching: a dispatch thread runs the handler and posts the
-//     rendered bytes back; the connection has no epoll interest and no
-//     deadline.
-//   - kWriting: the loop sends from the output buffer. EPOLLOUT is armed
-//     *only* when send() returns EAGAIN (write backpressure); a slow
-//     reader therefore costs one buffered response, never a thread.
-//   - After a full write: keep-alive connections first try to parse the
-//     *next* request from bytes already buffered (pipelining -- requests
-//     that arrived back-to-back in one segment are served without another
+//     complete request runs its handler right there; the response is sent
+//     before the loop reads another request from that connection, which
+//     keeps responses ordered.
+//   - kWriting: the socket buffer filled mid-response, so EPOLLOUT is armed
+//     (write backpressure) and the rest is sent as the client drains it; a
+//     slow reader therefore costs one buffered response, never a thread.
+//   - After a full write: keep-alive connections first serve the *next*
+//     request from bytes already buffered (pipelining -- requests that
+//     arrived back-to-back in one segment are served without another
 //     recv), otherwise EPOLLIN is re-armed with a fresh idle deadline.
 //
-// Idle timeouts use a lazy min-heap of (deadline, connection id) holding
-// at most one live entry per connection: re-arming to a later deadline
-// pushes nothing, and when the queued entry comes due it is re-queued at
-// the connection's current deadline (or reaps it, if that has passed).
-// Entries of closed connections are skipped, so there is no cancellation
-// bookkeeping, and the heap does not grow with every request served on a
-// keep-alive connection.
+// A handler holds only its own loop while it runs: that loop's other
+// connections wait for it, the other loops do not.
 //
-// Stop(): the listener closes, idle keep-alive connections are dropped,
-// and requests already dispatched finish and are flushed (bounded by
-// io_timeout_seconds).
+// Idle timeouts use a lazy min-heap of (deadline, connection id) per loop
+// holding at most one live entry per connection: re-arming to a later
+// deadline pushes nothing, and when the queued entry comes due it is
+// re-queued at the connection's current deadline (or reaps it, if that has
+// passed). Entries of closed connections are skipped, so there is no
+// cancellation bookkeeping, and the heap does not grow with every request
+// served on a keep-alive connection.
+//
+// Stop(): one eventfd, written once and never drained, wakes every loop.
+// Each loop stops accepting, drops its idle connections, lets a running
+// handler finish, flushes the responses already rendered (each bounded by
+// io_timeout_seconds) and closes each connection once its response is out;
+// pipelined requests not yet started are dropped.
 
 #ifndef SMPTREE_SERVE_HTTP_SERVER_H_
 #define SMPTREE_SERVE_HTTP_SERVER_H_
@@ -52,14 +58,10 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "serve/http_parser.h"
 #include "serve/http_types.h"
-#include "serve/work_queue.h"
-#include "util/mutex.h"
 #include "util/status.h"
 
 namespace smptree {
@@ -68,7 +70,7 @@ namespace smptree {
 struct FrontEndStats {
   uint64_t accepted = 0;            ///< connections accepted since Start
   uint64_t open_connections = 0;    ///< currently live connections
-  uint64_t requests = 0;            ///< requests dispatched
+  uint64_t requests = 0;            ///< requests handled
   uint64_t pipelined_requests = 0;  ///< served from buffered bytes, no recv
   uint64_t backpressure_stalls = 0;  ///< writes that had to arm EPOLLOUT
   uint64_t idle_timeouts = 0;        ///< connections reaped by deadline
@@ -83,7 +85,7 @@ class HttpServer {
   struct Options {
     std::string bind_address = "127.0.0.1";
     uint16_t port = 0;  ///< 0 picks an ephemeral port (see port())
-    int num_threads = 4;  ///< dispatch threads running the handlers
+    int num_threads = 4;  ///< event loops; each runs its handlers inline
     int backlog = 128;
     size_t max_header_bytes = 64u * 1024;  ///< over it answers 431
     size_t max_body_bytes = 32u << 20;     ///< over it answers 413
@@ -102,19 +104,20 @@ class HttpServer {
 
   /// Registers a handler for an exact (method, path) pair. Must be called
   /// before Start (the route table is immutable while serving). Handlers
-  /// run on the dispatch threads and must be safe to call concurrently.
+  /// run on the event loops and must be safe to call concurrently.
   void Route(const std::string& method, const std::string& path,
              Handler handler);
 
-  /// Binds, listens, and spawns the loop and dispatch threads. A server
-  /// starts at most once.
+  /// Binds, listens, and spawns the event loops. A server starts at most
+  /// once.
   Status Start();
 
   /// The bound port (after Start; resolves port 0 to the real port).
   uint16_t port() const { return bound_port_; }
 
-  /// Stops accepting, closes the listener, and joins all threads.
-  /// In-flight requests finish; idle keep-alive connections are dropped.
+  /// Stops accepting, closes the listener, and joins the loops. Handlers
+  /// already running finish and their responses are flushed; idle
+  /// keep-alive connections are dropped.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -122,100 +125,24 @@ class HttpServer {
   FrontEndStats Stats() const;
 
  private:
-  struct Connection {
-    enum class State { kReading, kDispatching, kWriting };
-
-    explicit Connection(HttpRequestParser::Limits limits)
-        : parser(limits) {}
-
-    int fd = -1;
-    uint64_t id = 0;
-    State state = State::kReading;
-    HttpRequestParser parser;
-    std::string out;        ///< rendered bytes not yet fully sent
-    size_t out_offset = 0;  ///< already-sent prefix of `out`
-    bool close_after_write = false;
-    bool want_write = false;   ///< EPOLLOUT currently armed
-    bool want_read = false;    ///< EPOLLIN currently armed
-    int64_t deadline_ms = 0;   ///< absolute steady-clock ms; 0 = no deadline
-    int64_t queued_ms = 0;     ///< at_ms of its live heap entry; 0 = none
-  };
-
-  struct DispatchJob {
-    uint64_t conn_id = 0;
-    bool keep_alive = true;
-    HttpRequest request;
-  };
-
-  struct Completion {
-    uint64_t conn_id = 0;
-    bool close_after = false;
-    std::string bytes;
-  };
-
-  /// Heap entry for the lazy deadline heap (smallest deadline on top).
-  struct Deadline {
-    int64_t at_ms = 0;
-    uint64_t conn_id = 0;
-    bool operator>(const Deadline& other) const {
-      return at_ms > other.at_ms;
-    }
-  };
+  class EventLoop;  // one loop thread's epoll set, connections and deadlines
 
   /// Routes the request. Answers 404 for unknown paths and 405 with the
   /// required Allow header when the path exists under other methods.
   HttpResponse Dispatch(const HttpRequest& request) const;
 
-  void LoopThread();
-  void WorkerThread();
-  void WakeLoop();
-
-  // All of the following run on the loop thread only.
-  void HandleAccept();
-  void HandleReadable(Connection* conn);
-  void OnParserProgress(Connection* conn, bool pipelined);
-  void StartDispatch(Connection* conn, bool pipelined);
-  void SendError(Connection* conn);
-  void EnqueueResponse(Connection* conn, std::string bytes, bool close_after);
-  void TryWrite(Connection* conn);
-  void DrainCompletions();
-  void ExpireDeadlines(int64_t now_ms);
-  void SetDeadline(Connection* conn, int64_t at_ms);
-  void UpdateInterest(Connection* conn, bool want_read, bool want_write);
-  void CloseConnection(Connection* conn);
-  int NextWaitMillis(int64_t now_ms) const;
-  bool HasPendingWork() const;
-
   const Options options_;
-  // lint: unguarded(route table is frozen before Start; immutable serving)
+  // Frozen before Start; the loops only read it.
   std::map<std::pair<std::string, std::string>, Handler> routes_;
 
   std::atomic<bool> running_{false};
-  // lint: unguarded(written once in Start before any thread spawns)
+  // The fds and the loops are set up in Start before any loop thread
+  // spawns, and torn down in Stop after joining them.
   uint16_t bound_port_ = 0;
-  // lint: unguarded(opened in Start, closed in Stop after joining threads)
-  int epoll_fd_ = -1;
-  // lint: unguarded(opened in Start, closed in Stop after joining threads)
   int listen_fd_ = -1;
-  // lint: unguarded(opened in Start, closed in Stop after joining threads)
-  int wake_fd_ = -1;
-
-  // lint: unguarded(loop thread exclusively owns the connection table)
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
-  // lint: unguarded(loop thread only: monotonically increasing conn ids)
-  uint64_t next_conn_id_ = 1;
-  // lint: unguarded(loop thread only: lazy deadline min-heap)
-  std::vector<Deadline> deadlines_;
-  // Requests handed to workers and not yet completed; drives Stop() drain.
-  // lint: unguarded(loop thread only)
-  uint64_t outstanding_dispatches_ = 0;
-
-  WorkQueue<DispatchJob> dispatch_queue_;
-  Mutex completions_mu_;
-  std::vector<Completion> completions_ GUARDED_BY(completions_mu_);
-
-  // lint: unguarded(written in Start/Stop only; never touched by workers)
-  std::vector<std::thread> threads_;  ///< [0] = loop, rest = dispatch
+  int stop_fd_ = -1;  ///< eventfd written once by Stop, never drained
+  std::vector<std::unique_ptr<EventLoop>> loops_;
+  std::vector<std::thread> threads_;  ///< threads_[i] runs loops_[i]
 
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> open_connections_{0};
@@ -224,7 +151,7 @@ class HttpServer {
   std::atomic<uint64_t> backpressure_stalls_{0};
   std::atomic<uint64_t> idle_timeouts_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> deadline_entries_{0};  ///< mirrors deadlines_.size()
+  std::atomic<uint64_t> deadline_entries_{0};  ///< sum of the loops' heaps
 };
 
 }  // namespace smptree

@@ -44,7 +44,7 @@ Status InferenceService::Start() { return http_.Start(); }
 void InferenceService::Stop() {
   // Order matters: stop the front end first so no new batches arrive, then
   // shut the engine. In-flight predicts complete before Stop returns
-  // because HttpServer joins its dispatch threads, which score them.
+  // because HttpServer joins its event loops, which score them inline.
   http_.Stop();
   engine_.Shutdown();
 }

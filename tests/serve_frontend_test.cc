@@ -310,25 +310,34 @@ TEST(FrontEndTest, SlowReaderStillGetsFullResponse) {
 }
 
 TEST(FrontEndTest, StopDuringPipelinedRequests) {
-  // Stop() while one request is mid-handler and more are buffered behind
-  // it: must not hang, crash, or race (this is the TSan exercise).
+  // Stop() while handlers are running on several loops and more requests
+  // are buffered behind each: must not hang, crash, or race (this is the
+  // TSan exercise).
   HttpServer::Options options;
-  options.num_threads = 2;
+  options.num_threads = 3;
   auto server = StartServer(options);
-  RawClient client(server->port());
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client.Send(
-      "GET /slow HTTP/1.1\r\n\r\n"
-      "GET /slow HTTP/1.1\r\n\r\n"
-      "GET /slow HTTP/1.1\r\n\r\n"));
+  constexpr int kConnections = 6;
+  std::vector<std::unique_ptr<RawClient>> clients;
+  for (int i = 0; i < kConnections; ++i) {
+    clients.push_back(std::make_unique<RawClient>(server->port()));
+    ASSERT_TRUE(clients.back()->ok()) << "connection " << i;
+    ASSERT_TRUE(clients.back()->Send(
+        "GET /slow HTTP/1.1\r\n\r\n"
+        "GET /slow HTTP/1.1\r\n\r\n"
+        "GET /slow HTTP/1.1\r\n\r\n"));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   server->Stop();
   EXPECT_FALSE(server->running());
-  // Whatever was flushed before the close must be well-formed; the
-  // connection must actually reach EOF.
-  const std::string leftovers = client.ReadUntilEof();
-  if (!leftovers.empty()) {
-    EXPECT_EQ(StatusOf(leftovers), 200);
+  // Every connection must actually reach EOF, and whatever was flushed to
+  // it before the close must be well-formed 200s.
+  for (int i = 0; i < kConnections; ++i) {
+    std::string response;
+    while (!(response = clients[i]->ReadResponse()).empty()) {
+      EXPECT_EQ(StatusOf(response), 200) << "connection " << i;
+      EXPECT_EQ(BodyOf(response), "{}\n") << "connection " << i;
+    }
+    EXPECT_EQ(clients[i]->ReadUntilEof(), "") << "connection " << i;
   }
 }
 
@@ -367,8 +376,8 @@ TEST(FrontEndTest, ClientSurvivesSignalsDuringLargeRead) {
 }
 
 TEST(EpollScalingTest, ServesManyMoreConnectionsThanDispatchThreads) {
-  // The acceptance bar for the event loop: 64 live keep-alive connections
-  // on 4 dispatch threads (16x), every one of them answered -- a
+  // The acceptance bar for the event loops: 64 live keep-alive
+  // connections on 4 loops (16x), every one of them answered -- a
   // thread-per-connection server would strand all but num_threads of them.
   HttpServer::Options options;
   options.num_threads = 4;

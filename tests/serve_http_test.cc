@@ -152,7 +152,7 @@ TEST_F(ServeHttpTest, PredictRejectsNonFiniteContinuousValues) {
              std::string(R"({"tuples": [[20, "sedan"], [)") + age +
                  R"(, "sedan"]]})");
     EXPECT_EQ(response.status, 400) << age;
-    EXPECT_NE(response.body.find("row 1"), std::string::npos)
+    EXPECT_NE(response.body.find("tuple 1"), std::string::npos)
         << response.body;
     EXPECT_NE(response.body.find("'age'"), std::string::npos)
         << response.body;

@@ -436,14 +436,14 @@ def convert_serve(raw, output):
     """Passes the open-loop connection-scaling rows through (rounded) and
     derives the headline claim EXPERIMENTS.md quotes: the largest
     connection count the front end served with zero errors and zero
-    drops, and its ratio to the dispatch-thread count."""
+    drops, and its ratio to the event-loop count."""
     runs = []
     errors = []
     for run in raw.get("runs", []):
         try:
             runs.append({
                 "connections": run["connections"],
-                "dispatch_threads": run["dispatch_threads"],
+                "event_loops": run["event_loops"],
                 "offered_rps": round(run["offered_rps"], 1),
                 "batch": run["batch"],
                 "sent": run["sent"],
@@ -460,15 +460,15 @@ def convert_serve(raw, output):
 
     derived = None
     if runs:
-        threads = runs[0]["dispatch_threads"]
+        loops = runs[0]["event_loops"]
         clean = [r["connections"] for r in runs
                  if r["errors"] == 0 and r["dropped"] == 0]
         max_clean = max(clean, default=0)
         derived = {
-            "dispatch_threads": threads,
+            "event_loops": loops,
             "max_clean_connections": max_clean,
             "connections_per_thread":
-                round(max_clean / threads, 2) if threads else None,
+                round(max_clean / loops, 2) if loops else None,
         }
 
     out = {
@@ -597,7 +597,7 @@ VALIDATE_SCHEMAS = {
     ),
     "serve_scaling": (
         ["schema_version", "suite", "context", "runs", "derived"],
-        [("runs", ["connections", "dispatch_threads",
+        [("runs", ["connections", "event_loops",
                    "offered_rps", "batch", "sent", "dropped", "timeouts",
                    "errors", "tuples_per_second", "p50_ms", "p99_ms"])],
     ),

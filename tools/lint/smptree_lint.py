@@ -97,13 +97,13 @@ ATTR_MACROS = {
 # Types that synchronize internally; members of these types need no
 # GUARDED_BY even inside a Mutex-owning class. The project entries are the
 # classes whose headers document an internal lock or all-atomic state:
-# Barrier, DynamicScheduler (atomic cursor), WorkQueue (bounded MPMC),
-# MwkLevelState (own mu_/cv_), ErrorSink (first-error latch),
+# Barrier, DynamicScheduler (atomic cursor), MwkLevelState (own
+# mu_/cv_), ErrorSink (first-error latch),
 # TraceRecorder (locked attach, quiescent reads), LatencyHistogram
 # (atomic buckets).
 SELF_SYNC_TYPES = {
     "Mutex", "CondVar", "SharedExclusiveCheck",
-    "Barrier", "DynamicScheduler", "WorkQueue", "MwkLevelState",
+    "Barrier", "DynamicScheduler", "MwkLevelState",
     "ErrorSink", "TraceRecorder", "LatencyHistogram",
 }
 

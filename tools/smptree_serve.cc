@@ -4,9 +4,9 @@
 //                 [--port 8080] [--address 127.0.0.1] [--workers 0]
 //                 [--http-threads 4] [--no-reload] [--build-stats stats.json]
 //
-// One event loop multiplexes every connection; --http-threads dispatch
-// threads run the handlers, and each scores its batch itself on one of
-// --workers scoring slots (0 = one per hardware thread).
+// --http-threads event loops share the connections; each runs the
+// handlers of its own connections inline and scores a batch itself on one
+// of --workers scoring slots (0 = one per hardware thread).
 //
 // Endpoints (see docs/SERVING.md): POST /v1/predict, POST /v1/reload,
 // GET /healthz, GET /statz. Prints "listening on <port>" once ready (port 0
