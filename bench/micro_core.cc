@@ -162,26 +162,35 @@ void BM_SegmentRoundTrip(benchmark::State& state) {
     env = mem_env.get();
     dir = "/bench";
   }
-  env->CreateDir(dir);
   const auto recs = SortedContinuousList(1 << 14, 7);
   std::unique_ptr<LevelStorage> storage;
-  if (!LevelStorage::Create(env, dir, "micro", 1, 2, &storage).ok()) {
+  if (!env->CreateDir(dir).ok() ||
+      !LevelStorage::Create(env, dir, "micro", 1, 2, &storage).ok()) {
     state.SkipWithError("storage create failed");
     return;
   }
   for (auto _ : state) {
-    storage->AppendChild(0, 0, recs);
-    storage->AdvanceLevel();
     SegmentBuffer buf;
-    storage->ReadSegment(
-        0, Segment{0, 0, static_cast<uint64_t>(recs.size())}, &buf);
+    const bool ok =
+        storage->AppendChild(0, 0, recs).ok() &&
+        storage->AdvanceLevel().ok() &&
+        storage
+            ->ReadSegment(0,
+                          Segment{0, 0, static_cast<uint64_t>(recs.size())},
+                          &buf)
+            .ok() &&
+        storage->AdvanceLevel().ok();  // cycle back to an empty current set
+    if (!ok) {
+      state.SkipWithError("segment round trip failed");
+      break;
+    }
     benchmark::DoNotOptimize(buf.records().data());
-    storage->AdvanceLevel();  // cycle back to an empty current set
   }
   state.SetBytesProcessed(state.iterations() * recs.size() *
                           sizeof(AttrRecord));
   storage.reset();
-  env->RemoveDirRecursive(dir);
+  // Best-effort cleanup of the bench scratch dir.
+  (void)env->RemoveDirRecursive(dir);
 }
 BENCHMARK(BM_SegmentRoundTrip)->Arg(0)->Arg(1);
 

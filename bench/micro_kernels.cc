@@ -129,9 +129,9 @@ void SplitPhaseBench(benchmark::State& state, int64_t buffer_records) {
     probe.Route(static_cast<Tid>(t), rng.Uniform(2) == 0);
   }
   auto env = Env::NewMem();
-  env->CreateDir("/bench");
   std::unique_ptr<LevelStorage> storage;
-  if (!LevelStorage::Create(env.get(), "/bench", "sp", 1, 2, &storage).ok()) {
+  if (!env->CreateDir("/bench").ok() ||
+      !LevelStorage::Create(env.get(), "/bench", "sp", 1, 2, &storage).ok()) {
     state.SkipWithError("storage create failed");
     return;
   }
@@ -143,6 +143,7 @@ void SplitPhaseBench(benchmark::State& state, int64_t buffer_records) {
   for (auto _ : state) {
     batch[0].clear();
     batch[1].clear();
+    bool ok = true;
     for (size_t i = 0; i < recs.size(); ++i) {
       if (i + kPrefetchDistance < recs.size()) {
         probe.Prefetch(recs[i + kPrefetchDistance].tid);
@@ -150,17 +151,25 @@ void SplitPhaseBench(benchmark::State& state, int64_t buffer_records) {
       const int side = probe.GoesLeft(recs[i].tid) ? 0 : 1;
       batch[side].push_back(recs[i]);
       if (batch[side].size() >= cap) {
-        storage->AppendChild(0, side, batch[side]);
+        ok &= storage->AppendChild(0, side, batch[side]).ok();
         batch[side].clear();
       }
     }
     for (int side = 0; side < 2; ++side) {
-      if (!batch[side].empty()) storage->AppendChild(0, side, batch[side]);
+      if (!batch[side].empty()) {
+        ok &= storage->AppendChild(0, side, batch[side]).ok();
+      }
       batch[side].clear();
     }
-    storage->FlushAlternate(0);
-    storage->AdvanceLevel();  // children become current
-    storage->AdvanceLevel();  // truncate and swap back (same cost per variant)
+    ok &= storage->FlushAlternate(0).ok();
+    // Children become current, then truncate and swap back (same cost per
+    // variant).
+    ok &= storage->AdvanceLevel().ok();
+    ok &= storage->AdvanceLevel().ok();
+    if (!ok) {
+      state.SkipWithError("split write failed");
+      break;
+    }
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

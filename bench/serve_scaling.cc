@@ -95,10 +95,10 @@ Point RunPoint(InferenceService* service, const Config& config,
   struct Shared {
     std::chrono::steady_clock::time_point start;
     std::atomic<int64_t> next_request{0};
-    std::atomic<uint64_t> sent{0};
-    std::atomic<uint64_t> dropped{0};
-    std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> errors{0};
+    std::atomic<uint64_t> num_sent{0};
+    std::atomic<uint64_t> num_dropped{0};
+    std::atomic<uint64_t> num_timeouts{0};
+    std::atomic<uint64_t> num_errors{0};
     LatencyHistogram latency;
   } shared;
 
@@ -123,7 +123,7 @@ Point RunPoint(InferenceService* service, const Config& config,
           std::this_thread::sleep_until(scheduled);
         } else if (now - scheduled >
                    std::chrono::milliseconds(config.timeout_ms)) {
-          shared.dropped.fetch_add(1, std::memory_order_relaxed);
+          shared.num_dropped.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         auto response = conn.Call("POST", "/v1/predict", body);
@@ -131,14 +131,14 @@ Point RunPoint(InferenceService* service, const Config& config,
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - scheduled)
                 .count());
-        shared.sent.fetch_add(1, std::memory_order_relaxed);
+        shared.num_sent.fetch_add(1, std::memory_order_relaxed);
         shared.latency.Record(nanos);
         if (nanos >
             static_cast<uint64_t>(config.timeout_ms) * 1000000ull) {
-          shared.timeouts.fetch_add(1, std::memory_order_relaxed);
+          shared.num_timeouts.fetch_add(1, std::memory_order_relaxed);
         }
         if (!response.ok() || response->status != 200) {
-          shared.errors.fetch_add(1, std::memory_order_relaxed);
+          shared.num_errors.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -149,10 +149,10 @@ Point RunPoint(InferenceService* service, const Config& config,
   point.connections = connections;
   point.offered_rps = config.rate;
   point.seconds = elapsed.Seconds();
-  point.sent = shared.sent.load(std::memory_order_relaxed);
-  point.dropped = shared.dropped.load(std::memory_order_relaxed);
-  point.timeouts = shared.timeouts.load(std::memory_order_relaxed);
-  point.errors = shared.errors.load(std::memory_order_relaxed);
+  point.sent = shared.num_sent.load(std::memory_order_relaxed);
+  point.dropped = shared.num_dropped.load(std::memory_order_relaxed);
+  point.timeouts = shared.num_timeouts.load(std::memory_order_relaxed);
+  point.errors = shared.num_errors.load(std::memory_order_relaxed);
   const uint64_t ok = point.sent - point.errors;
   point.tuples_per_second =
       point.seconds > 0

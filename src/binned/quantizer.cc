@@ -93,7 +93,7 @@ Status Quantizer::Build(const Dataset& data, int max_bins, int num_threads) {
     }
   }
   std::vector<std::vector<float>> cuts(static_cast<size_t>(num_attrs));
-  ParallelFor(num_threads, num_attrs, [&](int64_t a) {
+  ParallelFor(num_threads, num_attrs, [&](int64_t a, int) {
     if (data.schema().attr(static_cast<int>(a)).is_categorical()) return;
     const std::span<const AttrValue> column = data.column(static_cast<int>(a));
     std::vector<float> values(column.size());
@@ -115,7 +115,7 @@ Status BinMatrix::Materialize(const Dataset& data, const Quantizer& quantizer,
                 static_cast<size_t>(num_tuples_));
   // One status per column: each task writes only its own slot and column.
   std::vector<Status> errors(static_cast<size_t>(num_attrs_));
-  ParallelFor(num_threads, num_attrs_, [&](int64_t task) {
+  ParallelFor(num_threads, num_attrs_, [&](int64_t task, int) {
     const int a = static_cast<int>(task);
     const std::span<const AttrValue> column = data.column(a);
     uint8_t* out = codes_.data() + static_cast<size_t>(a) * num_tuples_;

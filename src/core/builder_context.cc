@@ -83,7 +83,7 @@ Status BuildOptions::Validate() const {
   }
   if (min_split < 1) return Status::InvalidArgument("min_split < 1");
   if (max_levels < 0) return Status::InvalidArgument("max_levels < 0");
-  if (sort_threads < 1) return Status::InvalidArgument("sort_threads < 1");
+  if (sort_threads < 0) return Status::InvalidArgument("sort_threads < 0");
   if (split_buffer_records < 0) {
     return Status::InvalidArgument("split_buffer_records < 0");
   }

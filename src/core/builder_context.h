@@ -133,10 +133,10 @@ struct BuildOptions {
   /// Scratch directory for attribute files; empty picks a unique directory
   /// under the system temp dir (PosixEnv) or a fixed namespace (MemEnv).
   std::string scratch_dir;
-  /// Threads used for attribute-list setup and pre-sorting (setup
-  /// parallelization, the paper's suggested improvement; 1 = paper-faithful
-  /// sequential).
-  int sort_threads = 1;
+  /// Threads used for attribute-list setup and pre-sorting (the paper's
+  /// suggested setup parallelization). 0 (the default) uses `num_threads`;
+  /// 1 is the paper-faithful sequential setup.
+  int sort_threads = 0;
   /// Bound (in records) on each child's S-phase write buffer: once a
   /// child's pending records reach this many they are streamed into its
   /// alternate slot file mid-leaf, keeping the working set at
@@ -152,6 +152,10 @@ struct BuildOptions {
   TraceRecorder* trace = nullptr;
 
   Status Validate() const;
+  /// Threads the presort runs on: `sort_threads`, or `num_threads` when 0.
+  int EffectiveSortThreads() const {
+    return sort_threads > 0 ? sort_threads : num_threads;
+  }
 };
 
 /// Purity pre-test (paper section 3.2.2), the one rule every batch builder

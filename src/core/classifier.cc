@@ -132,8 +132,9 @@ Result<TrainResult> TrainClassifier(const Dataset& data,
   Timer total;
 
   // Setup + sort phases (timed inside BuildAttributeLists).
-  SMPTREE_ASSIGN_OR_RETURN(AttributeLists lists,
-                           BuildAttributeLists(data, options.build.sort_threads));
+  SMPTREE_ASSIGN_OR_RETURN(
+      AttributeLists lists,
+      BuildAttributeLists(data, options.build.EffectiveSortThreads()));
   result.stats.setup_seconds = lists.setup_seconds;
   result.stats.sort_seconds = lists.sort_seconds;
 

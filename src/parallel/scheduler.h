@@ -54,23 +54,31 @@ class DynamicScheduler {
   debug::SharedExclusiveCheck pull_check_{"DynamicScheduler Reset vs Next"};
 };
 
-/// Runs `work(i)` once for every i in [0, count) on up to `max_threads`
-/// threads (the caller is one of them) that take indices from one shared
-/// counter -- BASIC's attribute scheduling, for setup passes that do one
-/// whole attribute per index. Returns after every index has run; `work`
-/// must not throw and must write only state owned by its index.
+/// The number of threads ParallelFor(max_threads, count, ...) runs on.
+inline int ParallelForWorkers(int max_threads, int64_t count) {
+  return static_cast<int>(
+      std::max<int64_t>(std::min<int64_t>(std::max(max_threads, 1), count),
+                        1));
+}
+
+/// Runs `work(i, worker)` once for every i in [0, count) on
+/// ParallelForWorkers(max_threads, count) threads (the caller is worker 0)
+/// that take indices from one shared counter -- BASIC's attribute
+/// scheduling, for setup passes that do one whole attribute per index.
+/// `worker` names the running thread, so `work` can use per-worker scratch
+/// the caller allocated. Returns after every index has run; `work` must not
+/// throw and must write only state owned by its index or its worker.
 inline void ParallelFor(int max_threads, int64_t count,
-                        const std::function<void(int64_t)>& work) {
+                        const std::function<void(int64_t, int)>& work) {
   DynamicScheduler sched;
   sched.Reset(count);
-  const auto drain = [&] {
-    for (int64_t i = sched.Next(); i >= 0; i = sched.Next()) work(i);
+  const auto drain = [&](int worker) {
+    for (int64_t i = sched.Next(); i >= 0; i = sched.Next()) work(i, worker);
   };
-  const int64_t helpers =
-      std::min<int64_t>(std::max(max_threads, 1), count) - 1;
+  const int workers = ParallelForWorkers(max_threads, count);
   std::vector<std::thread> threads;
-  for (int64_t t = 0; t < helpers; ++t) threads.emplace_back(drain);
-  drain();
+  for (int w = 1; w < workers; ++w) threads.emplace_back(drain, w);
+  drain(0);
   for (std::thread& t : threads) t.join();
 }
 

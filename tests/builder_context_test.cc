@@ -274,6 +274,18 @@ TEST(BuildOptionsTest, ValidateBounds) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+TEST(BuildOptionsTest, SortThreadsDefaultFollowsNumThreads) {
+  BuildOptions options;
+  EXPECT_EQ(options.sort_threads, 0);
+  options.num_threads = 3;
+  EXPECT_TRUE(options.Validate().ok());
+  EXPECT_EQ(options.EffectiveSortThreads(), 3);
+  options.sort_threads = 1;
+  EXPECT_EQ(options.EffectiveSortThreads(), 1);
+  options.sort_threads = -1;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+}
+
 TEST(ScratchDirTest, UniquePerCall) {
   auto env = Env::NewMem();
   const std::string a = MakeScratchDir(env.get(), "/base");

@@ -39,7 +39,7 @@ an (unwaivable) finding. Unused waivers are reported in the JSON summary.
 
 Usage:
     smptree_lint.py [paths...]              # default: <repo>/src
-    smptree_lint.py --compdb build/compile_commands.json
+    smptree_lint.py --compdb build/compile_commands.json   # src tools bench
     smptree_lint.py --json findings.json --check atomic-explicit-order src
 
 Exit status: 0 clean, 1 unwaivered findings, 2 usage/internal error.
@@ -1092,6 +1092,13 @@ def check_stream_source_blocking_io(path, toks, findings, stream_classes):
 # Driver
 # ---------------------------------------------------------------------------
 
+# Trees the --compdb (build target) run scans. Walking a directory skips
+# tools/lint/testdata -- deliberately bad code for the selftest -- unless
+# the directory asked for lies inside it.
+COMPDB_SCAN_DIRS = ("src", "tools", "bench")
+FIXTURE_DIR = os.path.join(REPO_ROOT, "tools", "lint", "testdata")
+
+
 def gather_files(args):
     files = []
     seen = set()
@@ -1104,6 +1111,16 @@ def gather_files(args):
             seen.add(p)
             files.append(p)
 
+    def walk(top):
+        top = os.path.abspath(top)
+        in_fixtures = os.path.commonpath([top, FIXTURE_DIR]) == FIXTURE_DIR
+        for root, dirs, names in os.walk(top):
+            if not in_fixtures:
+                dirs[:] = [d for d in dirs
+                           if os.path.join(root, d) != FIXTURE_DIR]
+            for nm in names:
+                add(os.path.join(root, nm))
+
     if args.compdb:
         try:
             with open(args.compdb, encoding="utf-8") as f:
@@ -1112,29 +1129,24 @@ def gather_files(args):
             print(f"smptree-lint: cannot read compdb {args.compdb}: {e}",
                   file=sys.stderr)
             sys.exit(2)
-        src_root = os.path.join(REPO_ROOT, "src")
+        roots = [os.path.join(REPO_ROOT, d) for d in COMPDB_SCAN_DIRS]
         for e in entries:
             p = os.path.normpath(os.path.join(e.get("directory", ""),
                                               e.get("file", "")))
-            if p.startswith(src_root):
+            if any(p.startswith(r + os.sep) for r in roots) and \
+                    not p.startswith(FIXTURE_DIR + os.sep):
                 add(p)
         # compile_commands.json lists TUs only; headers carry the class
         # definitions the guarded-by check needs.
-        for root, _, names in os.walk(src_root):
-            for nm in names:
-                add(os.path.join(root, nm))
+        for root in roots:
+            walk(root)
     for path in args.paths:
         if os.path.isdir(path):
-            for root, _, names in os.walk(path):
-                for nm in names:
-                    add(os.path.join(root, nm))
+            walk(path)
         else:
             add(path)
     if not args.compdb and not args.paths:
-        default = os.path.join(REPO_ROOT, "src")
-        for root, _, names in os.walk(default):
-            for nm in names:
-                add(os.path.join(root, nm))
+        walk(os.path.join(REPO_ROOT, "src"))
     return sorted(files)
 
 
@@ -1151,8 +1163,9 @@ def main():
         description="project-specific static checks for smptree")
     ap.add_argument("paths", nargs="*", help="files or directories to scan "
                     "(default: <repo>/src)")
-    ap.add_argument("--compdb", help="compile_commands.json; scans its src/ "
-                    "translation units plus all src/ headers")
+    ap.add_argument("--compdb", help="compile_commands.json; scans its "
+                    "src/, tools/ and bench/ translation units plus every "
+                    "file under those trees except tools/lint/testdata")
     ap.add_argument("--json", dest="json_out", help="write machine-readable "
                     "findings to this path")
     ap.add_argument("--check", action="append", default=[],

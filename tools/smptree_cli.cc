@@ -496,6 +496,7 @@ int RunTrainStream(const Flags& flags) {
     if (options.snapshot_every == 0) options.snapshot_every = 10000;
     options.publish = [&service](DecisionTree&& snapshot, int64_t tuples) {
       if (service == nullptr) return Status::OK();
+      // lint: atomic-order(InferenceService::store() is an accessor)
       return service->store().Install(
           std::move(snapshot),
           StringPrintf("train-stream@%lld",

@@ -154,7 +154,8 @@ void PredictClient(PredictShared* shared, size_t slot) {
   HttpClientConnection conn(shared->host, shared->port);
   const int64_t n = shared->data->num_tuples();
   for (;;) {
-    const int64_t i = shared->next_request.fetch_add(1);
+    const int64_t i =
+        shared->next_request.fetch_add(1, std::memory_order_relaxed);
     if (i >= shared->requests) return;
     const int64_t count = std::min(shared->batch, n);
     const int64_t begin = (i * count) % (n - count + 1);
@@ -176,7 +177,7 @@ void PredictClient(PredictShared* shared, size_t slot) {
         std::this_thread::sleep_until(scheduled);
       } else if (now - scheduled > std::chrono::milliseconds(
                                        shared->timeout_ms)) {
-        shared->dropped.fetch_add(1);
+        shared->dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
     }
@@ -196,10 +197,10 @@ void PredictClient(PredictShared* shared, size_t slot) {
     shared->samples[slot].push_back(nanos);
     if (shared->rate > 0.0 &&
         nanos > static_cast<uint64_t>(shared->timeout_ms) * 1000000ull) {
-      shared->timeouts.fetch_add(1);
+      shared->timeouts.fetch_add(1, std::memory_order_relaxed);
     }
     if (!response.ok() || response->status != 200) {
-      shared->errors.fetch_add(1);
+      shared->errors.fetch_add(1, std::memory_order_relaxed);
       if (!response.ok()) {
         std::fprintf(stderr, "request %lld: %s\n", static_cast<long long>(i),
                      response.status().ToString().c_str());
@@ -210,7 +211,8 @@ void PredictClient(PredictShared* shared, size_t slot) {
       }
       continue;
     }
-    shared->tuples.fetch_add(static_cast<uint64_t>(count));
+    shared->tuples.fetch_add(static_cast<uint64_t>(count),
+                             std::memory_order_relaxed);
     if (shared->verify_tree == nullptr && shared->verify_forest == nullptr) {
       continue;
     }
@@ -219,7 +221,7 @@ void PredictClient(PredictShared* shared, size_t slot) {
     const JsonValue* codes = doc.ok() ? doc->Find("codes") : nullptr;
     if (codes == nullptr || !codes->is_array() ||
         static_cast<int64_t>(codes->array_items().size()) != count) {
-      shared->mismatches.fetch_add(1);
+      shared->mismatches.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     TupleValues row;
@@ -231,7 +233,7 @@ void PredictClient(PredictShared* shared, size_t slot) {
       const double got = codes->array_items()[static_cast<size_t>(t)]
                              .number_value();
       if (static_cast<ClassLabel>(got) != expected) {
-        shared->mismatches.fetch_add(1);
+        shared->mismatches.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr,
                      "request %lld row %lld: server said %d, tree says %d\n",
                      static_cast<long long>(i), static_cast<long long>(t),
@@ -303,9 +305,10 @@ int RunPredict(const std::map<std::string, std::string>& flags,
   for (std::thread& t : clients) t.join();
   const double seconds = elapsed.Seconds();
 
-  const uint64_t errors = shared.errors.load();
-  const uint64_t mismatches = shared.mismatches.load();
-  const uint64_t dropped = shared.dropped.load();
+  // The joins above order every counter update before these reads.
+  const uint64_t errors = shared.errors.load(std::memory_order_relaxed);
+  const uint64_t mismatches = shared.mismatches.load(std::memory_order_relaxed);
+  const uint64_t dropped = shared.dropped.load(std::memory_order_relaxed);
   const uint64_t sent = static_cast<uint64_t>(shared.requests) - dropped;
   std::printf(
       "op=predict requests=%lld concurrency=%lld batch=%lld errors=%llu "
@@ -322,14 +325,16 @@ int RunPredict(const std::map<std::string, std::string>& flags,
         shared.rate, static_cast<double>(sent) / seconds,
         static_cast<unsigned long long>(sent),
         static_cast<unsigned long long>(dropped),
-        static_cast<unsigned long long>(shared.timeouts.load()),
+        static_cast<unsigned long long>(
+            shared.timeouts.load(std::memory_order_relaxed)),
         static_cast<long long>(shared.timeout_ms));
   }
   std::printf(
       "elapsed=%.3fs throughput=%.1f req/s %.1f tuples/s\n"
       "latency: %s\n%s",
       seconds, static_cast<double>(sent) / seconds,
-      static_cast<double>(shared.tuples.load()) / seconds,
+      static_cast<double>(shared.tuples.load(std::memory_order_relaxed)) /
+          seconds,
       RawPercentiles(shared).c_str(), shared.latency.ToAscii().c_str());
   return errors == 0 && mismatches == 0 ? 0 : 1;
 }

@@ -123,6 +123,7 @@ int Main(int argc, char** argv) {
   const Status started = service.Start();
   if (!started.ok()) return Fail(started.ToString());
 
+  // lint: atomic-order(InferenceService::store() is an accessor)
   const ServingModelPtr model = service.store().Current();
   std::printf(
       "smptree_serve: %s model %s (epoch %lld, %d trees, %lld nodes, "
