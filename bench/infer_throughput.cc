@@ -1,6 +1,6 @@
 // Inference throughput sweep: pointer-chasing per-tuple classification
-// (GatherTuple + DecisionTree::Classify / Forest::Probabilities -- the
-// serving engine's scoring path before the flattened engine) against the
+// (ColumnBlock::GatherRow + DecisionTree::Classify / Forest::Probabilities
+// -- the serving engine's scoring path before the flattened engine) against the
 // flattened SoA path (FlatTree/FlatForest + BatchScorer's level-synchronous
 // batch traversal), single thread, on trees and 15-member forests trained
 // on each Agrawal function F1..F10, plus a batch-size sweep on one
@@ -30,7 +30,6 @@
 #include "ensemble/forest_builder.h"
 #include "infer/batch_scorer.h"
 #include "infer/flat_tree.h"
-#include "serve/batch.h"
 #include "util/string_util.h"
 
 namespace smptree {
@@ -118,11 +117,12 @@ Forest TrainBenchForest(const Dataset& data, int trees) {
 
 /// Splits `data` into batches of `batch_size` tuples (the last one ragged),
 /// the granularity the serving engine actually scores at.
-std::vector<Batch> MakeBatches(const Dataset& data, int64_t batch_size) {
-  std::vector<Batch> batches;
+std::vector<Dataset> MakeBatches(const Dataset& data, int64_t batch_size) {
+  std::vector<Dataset> batches;
   for (int64_t begin = 0; begin < data.num_tuples(); begin += batch_size) {
     const int64_t end = std::min(begin + batch_size, data.num_tuples());
-    batches.push_back(Batch::FromDataset(data, begin, end));
+    batches.emplace_back(data.schema());
+    batches.back().AppendRange(data, begin, end);
   }
   return batches;
 }
@@ -141,24 +141,15 @@ double MeasureSeconds(int reps, const Body& body) {
   return best;
 }
 
-/// Copies row `tuple` of `batch` into `out` (resized to num_attrs).
-void GatherTuple(const Batch& batch, int64_t tuple, TupleValues* out) {
-  out->resize(static_cast<size_t>(batch.num_attrs()));
-  for (int a = 0; a < batch.num_attrs(); ++a) {
-    (*out)[static_cast<size_t>(a)] =
-        batch.column(a)[static_cast<size_t>(tuple)];
-  }
-}
-
 /// The engine's pre-flattening scoring loop, verbatim: gather each row into
 /// a scratch TupleValues and walk the pointer-linked tree.
-void PointerScoreTree(const DecisionTree& tree, const std::vector<Batch>& bs,
+void PointerScoreTree(const DecisionTree& tree, const std::vector<Dataset>& bs,
                       std::vector<ClassLabel>* labels) {
   labels->clear();
   TupleValues row;
-  for (const Batch& batch : bs) {
+  for (const Dataset& batch : bs) {
     for (int64_t t = 0; t < batch.num_tuples(); ++t) {
-      GatherTuple(batch, t, &row);
+      batch.GatherRow(t, &row);
       labels->push_back(tree.Classify(row));
     }
   }
@@ -166,37 +157,37 @@ void PointerScoreTree(const DecisionTree& tree, const std::vector<Batch>& bs,
 
 /// Pointer forest path: gather, vote across members, copy the vote shares
 /// out per tuple (what the engine's worker loop used to do).
-void PointerScoreForest(const Forest& forest, const std::vector<Batch>& bs,
+void PointerScoreForest(const Forest& forest, const std::vector<Dataset>& bs,
                         std::vector<ClassLabel>* labels,
                         std::vector<double>* probs) {
   labels->clear();
   probs->clear();
   TupleValues row;
   std::vector<double> prow;
-  for (const Batch& batch : bs) {
+  for (const Dataset& batch : bs) {
     for (int64_t t = 0; t < batch.num_tuples(); ++t) {
-      GatherTuple(batch, t, &row);
+      batch.GatherRow(t, &row);
       labels->push_back(forest.Probabilities(row, &prow));
       probs->insert(probs->end(), prow.begin(), prow.end());
     }
   }
 }
 
-void FlatScoreTree(const FlatTree& tree, const std::vector<Batch>& bs,
+void FlatScoreTree(const FlatTree& tree, const std::vector<Dataset>& bs,
                    BatchScorer* scorer, std::vector<ClassLabel>* labels) {
   size_t off = 0;
-  for (const Batch& batch : bs) {
+  for (const Dataset& batch : bs) {
     scorer->ScoreTree(tree, batch, labels->data() + off);
     off += static_cast<size_t>(batch.num_tuples());
   }
 }
 
-void FlatScoreForest(const FlatForest& forest, const std::vector<Batch>& bs,
+void FlatScoreForest(const FlatForest& forest, const std::vector<Dataset>& bs,
                      BatchScorer* scorer, std::vector<ClassLabel>* labels,
                      std::vector<double>* probs) {
   const size_t k = static_cast<size_t>(forest.num_classes());
   size_t off = 0;
-  for (const Batch& batch : bs) {
+  for (const Dataset& batch : bs) {
     scorer->ScoreForest(forest, batch, labels->data() + off,
                         probs->data() + off * k);
     off += static_cast<size_t>(batch.num_tuples());
@@ -333,7 +324,7 @@ int Main(int argc, char** argv) {
     Forest forest = TrainBenchForest(train, config.forest_trees);
     const FlatTree flat_tree = FlatTree::Compile(tree);
     const FlatForest flat_forest = FlatForest::Compile(forest);
-    const std::vector<Batch> batches = MakeBatches(score, kServeBatch);
+    const std::vector<Dataset> batches = MakeBatches(score, kServeBatch);
     const size_t n = static_cast<size_t>(score.num_tuples());
     const size_t k = static_cast<size_t>(flat_forest.num_classes());
 
@@ -417,7 +408,7 @@ int Main(int argc, char** argv) {
                             "forest ptr ns", "forest flat ns"});
   std::vector<SweepRow> sweep;
   for (const int64_t size : sizes) {
-    const std::vector<Batch> batches = MakeBatches(*sweep_data, size);
+    const std::vector<Dataset> batches = MakeBatches(*sweep_data, size);
     SweepRow row;
     row.batch = size;
     row.tree_pointer_ns = NsPerTuple(

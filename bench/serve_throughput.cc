@@ -11,7 +11,6 @@
 
 #include "bench/bench_util.h"
 #include "core/classifier.h"
-#include "serve/batch.h"
 #include "serve/engine.h"
 #include "serve/json.h"
 #include "serve/model_store.h"
@@ -50,10 +49,13 @@ SweepPoint RunPoint(const ModelStore* store, const Dataset& data,
   std::vector<std::thread> threads;
   for (int c = 0; c < callers; ++c) {
     threads.emplace_back([&, c] {
+      // Each request copies its rows, as a decode would.
+      Dataset batch(data.schema());
       for (int64_t i = 0; i < batches_per_caller; ++i) {
         const int64_t begin = ((c + i) * 7919) % std::max<int64_t>(1, stride);
-        auto outcome =
-            engine.Predict(Batch::FromDataset(data, begin, begin + batch_size));
+        batch.Clear();
+        batch.AppendRange(data, begin, begin + batch_size);
+        auto outcome = engine.Predict(batch);
         if (!outcome.ok()) {
           std::fprintf(stderr, "predict failed: %s\n",
                        outcome.status().ToString().c_str());

@@ -1,7 +1,9 @@
 // Parallel-builder speedup sweep: threads x {BASIC, FWK, MWK, SUBTREE} on
 // Agrawal functions, reporting build time, speedup vs the same algorithm at
 // P=1, and the wait share (blocked time / (P x build time)) -- the repo's
-// version of the paper's Figures 8-11 evidence, now machine-readable.
+// version of the paper's Figures 8-11 evidence, now machine-readable. Each
+// point builds kReps times and reports the median build time with its
+// interquartile range; the phase counters come from the median build.
 //
 //   speedup_builders [--quick] [--threads 1,2,4] [--functions 5,7]
 //                    [--tuples N] [--out runs.json] [--overhead]
@@ -12,6 +14,7 @@
 // of running one configuration with a TraceRecorder attached vs without
 // (the tracing-on price; tracing *off* is one thread_local load per span).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -33,7 +36,7 @@ struct Config {
   bool overhead = false;
   std::vector<int> threads = {1, 2, 4};
   std::vector<int> functions = {5, 7};
-  int64_t tuples = 40000;
+  int64_t tuples = 200000;
   std::string out;
 };
 
@@ -41,10 +44,16 @@ struct Run {
   int function = 0;
   const char* algorithm = nullptr;
   int threads = 0;
-  double build_seconds = 0;
+  double build_seconds = 0;  ///< median over kReps builds
+  double build_q1 = 0;       ///< lower quartile of the build times
+  double build_q3 = 0;       ///< upper quartile
   double total_seconds = 0;
   BuildStats stats;
 };
+
+/// Builds per point: enough for a median and quartiles that one build the
+/// host disturbs cannot move.
+constexpr int kReps = 5;
 
 constexpr Algorithm kAlgorithms[] = {Algorithm::kBasic, Algorithm::kFwk,
                                      Algorithm::kMwk, Algorithm::kSubtree};
@@ -59,30 +68,37 @@ bool ParseIntList(const std::string& raw, std::vector<int>* out) {
   return !out->empty();
 }
 
-/// Best (minimum build time) of `reps` runs; the repeated measurement
-/// absorbs first-touch and allocator noise on quiet machines.
+/// kReps builds of one configuration, summarized by the median build (its
+/// time, total time and counters) and the quartiles of the build times.
 Run Measure(const Dataset& data, int function, Algorithm algorithm,
-            int threads, int reps) {
-  Run best;
-  for (int r = 0; r < reps; ++r) {
+            int threads) {
+  std::vector<Run> reps;
+  for (int r = 0; r < kReps; ++r) {
     RunResult result = RunBuild(data, algorithm, threads, /*env=*/nullptr);
-    if (r == 0 || result.stats.build_seconds < best.build_seconds) {
-      best.function = function;
-      best.algorithm = AlgorithmName(algorithm);
-      best.threads = threads;
-      best.build_seconds = result.stats.build_seconds;
-      best.total_seconds = result.stats.total_seconds;
-      best.stats = result.stats.build_stats;
-    }
+    Run run;
+    run.function = function;
+    run.algorithm = AlgorithmName(algorithm);
+    run.threads = threads;
+    run.build_seconds = result.stats.build_seconds;
+    run.total_seconds = result.stats.total_seconds;
+    run.stats = result.stats.build_stats;
+    reps.push_back(run);
   }
-  return best;
+  std::sort(reps.begin(), reps.end(), [](const Run& a, const Run& b) {
+    return a.build_seconds < b.build_seconds;
+  });
+  // With five sorted times the quartiles fall on ranks 1 and 3.
+  Run median = reps[kReps / 2];
+  median.build_q1 = reps[kReps / 4].build_seconds;
+  median.build_q3 = reps[kReps - 1 - kReps / 4].build_seconds;
+  return median;
 }
 
-void MeasureOverhead(const Dataset& data, int reps) {
+void MeasureOverhead(const Dataset& data) {
   // Same configuration twice: untraced, then with a live TraceRecorder, so
   // the delta is the full tracing-on price (buffer appends + drain setup).
   double untraced = 0, traced = 0;
-  for (int r = 0; r < reps; ++r) {
+  for (int r = 0; r < kReps; ++r) {
     RunResult plain = RunBuild(data, Algorithm::kMwk, 2, nullptr);
     if (r == 0 || plain.stats.build_seconds < untraced) {
       untraced = plain.stats.build_seconds;
@@ -113,20 +129,21 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs) {
       "{\"suite\": \"parallel_builders\", \"schema_version\": 1,\n"
       " \"context\": {\"hardware_threads\": %d, \"scale\": %.2f, "
       "\"tuples\": %lld, \"attrs\": 9, \"env\": \"mem\", \"window\": 4, "
-      "\"quick\": %s},\n \"runs\": [",
+      "\"reps\": %d, \"quick\": %s},\n \"runs\": [",
       HardwareThreads(), BenchScale(), static_cast<long long>(config.tuples),
-      config.quick ? "true" : "false");
+      kReps, config.quick ? "true" : "false");
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
     out += StringPrintf(
         "%s\n  {\"function\": %d, \"algorithm\": \"%s\", \"threads\": %d, "
-        "\"build_seconds\": %.6f, \"total_seconds\": %.6f, "
+        "\"build_seconds\": %.6f, \"build_seconds_q1\": %.6f, "
+        "\"build_seconds_q3\": %.6f, \"total_seconds\": %.6f, "
         "\"wait_seconds\": %.6f, \"e_seconds\": %.6f, \"w_seconds\": %.6f, "
         "\"s_seconds\": %.6f, \"barrier_waits\": %llu, "
         "\"condvar_waits\": %llu, \"records_scanned\": %llu, "
         "\"records_split\": %llu}",
         i == 0 ? "" : ",", r.function, r.algorithm, r.threads,
-        r.build_seconds, r.total_seconds,
+        r.build_seconds, r.build_q1, r.build_q3, r.total_seconds,
         static_cast<double>(r.stats.wait_nanos) / 1e9,
         static_cast<double>(r.stats.e_nanos) / 1e9,
         static_cast<double>(r.stats.w_nanos) / 1e9,
@@ -174,7 +191,6 @@ int Main(int argc, char** argv) {
     }
   }
   if (config.quick) config.tuples = std::min<int64_t>(config.tuples, 8000);
-  const int reps = config.quick ? 1 : 2;
   const int64_t tuples = ScaledTuples(config.tuples);
   config.tuples = tuples;
 
@@ -186,12 +202,12 @@ int Main(int argc, char** argv) {
     // One warmup build to fault in the dataset before any timed run.
     RunBuild(data, Algorithm::kSerial, 1, nullptr);
 
-    TablePrinter table({"algorithm", "P", "build s", "speedup", "wait share",
-                        "E s", "W s", "S s"});
+    TablePrinter table({"algorithm", "P", "build s", "IQR s", "speedup",
+                        "wait share", "E s", "W s", "S s"});
     for (Algorithm algorithm : kAlgorithms) {
       double base = 0;
       for (int threads : config.threads) {
-        const Run run = Measure(data, function, algorithm, threads, reps);
+        const Run run = Measure(data, function, algorithm, threads);
         if (threads == config.threads.front() && threads == 1) {
           base = run.build_seconds;
         }
@@ -199,6 +215,7 @@ int Main(int argc, char** argv) {
             base > 0 && run.build_seconds > 0 ? base / run.build_seconds : 0;
         table.AddRow({run.algorithm, Fmt("%d", threads),
                       Fmt("%.4f", run.build_seconds),
+                      Fmt("%.4f", run.build_q3 - run.build_q1),
                       base > 0 ? Fmt("%.2f", speedup) : "n/a",
                       Fmt("%.3f", run.stats.WaitShare()),
                       Fmt("%.4f", static_cast<double>(run.stats.e_nanos) / 1e9),
@@ -215,7 +232,7 @@ int Main(int argc, char** argv) {
 
   if (config.overhead) {
     const Dataset data = MakeDataset(config.functions.front(), 9, tuples);
-    MeasureOverhead(data, reps);
+    MeasureOverhead(data);
   }
 
   if (!config.out.empty()) {

@@ -4,13 +4,6 @@
 
 namespace smptree {
 
-Dataset::Dataset(Schema schema) : schema_(std::move(schema)) {
-  columns_.resize(schema_.num_attrs());
-  for (int a = 0; a < schema_.num_attrs(); ++a) {
-    if (!schema_.attr(a).is_categorical()) continuous_attrs_.push_back(a);
-  }
-}
-
 Status Dataset::Append(const TupleValues& values, ClassLabel label) {
   if (static_cast<int>(values.size()) != num_attrs()) {
     return Status::InvalidArgument(
@@ -22,27 +15,15 @@ Status Dataset::Append(const TupleValues& values, ClassLabel label) {
         StringPrintf("label %d out of range [0,%d)", label, num_classes()));
   }
   // Checked before any column grows, so a rejected tuple leaves no trace.
-  for (const int a : continuous_attrs_) {
-    SMPTREE_RETURN_IF_ERROR(
-        CheckContinuousValue(schema_.attr(a), num_tuples_, values[a].f));
-  }
+  const int64_t t = num_tuples();
   for (int a = 0; a < num_attrs(); ++a) {
-    columns_[a].push_back(values[a]);
+    if (schema_.attr(a).is_categorical()) continue;
+    SMPTREE_RETURN_IF_ERROR(
+        CheckContinuousValue(schema_.attr(a), t, values[a].f));
   }
-  labels_.push_back(label);
-  ++num_tuples_;
+  Resize(t + 1);
+  Set(t, values, label);
   return Status::OK();
-}
-
-void Dataset::Reserve(int64_t n) {
-  for (auto& col : columns_) col.reserve(n);
-  labels_.reserve(n);
-}
-
-TupleValues Dataset::Tuple(int64_t tuple) const {
-  TupleValues out(num_attrs());
-  for (int a = 0; a < num_attrs(); ++a) out[a] = columns_[a][tuple];
-  return out;
 }
 
 std::vector<int64_t> Dataset::ClassCounts() const {
@@ -52,7 +33,7 @@ std::vector<int64_t> Dataset::ClassCounts() const {
 }
 
 uint64_t Dataset::SizeBytes() const {
-  return static_cast<uint64_t>(num_tuples_) *
+  return static_cast<uint64_t>(num_tuples()) *
          (static_cast<uint64_t>(num_attrs()) * sizeof(AttrValue) +
           sizeof(ClassLabel));
 }
@@ -67,18 +48,19 @@ Status NonFiniteValueError(const AttrInfo& info, int64_t row, float value) {
 Status Dataset::Validate() const {
   for (int a = 0; a < num_attrs(); ++a) {
     const AttrInfo& info = schema_.attr(a);
-    if (!info.is_categorical()) continue;
-    for (int64_t t = 0; t < num_tuples_; ++t) {
-      const int32_t code = columns_[a][t].cat;
-      if (code < 0 || code >= info.cardinality) {
+    for (int64_t t = 0; t < num_tuples(); ++t) {
+      const AttrValue v = value(t, a);
+      if (!info.is_categorical()) {
+        SMPTREE_RETURN_IF_ERROR(CheckContinuousValue(info, t, v.f));
+      } else if (v.cat < 0 || v.cat >= info.cardinality) {
         return Status::Corruption(StringPrintf(
             "tuple %lld attr '%s': code %d outside cardinality %d",
-            static_cast<long long>(t), info.name.c_str(), code,
+            static_cast<long long>(t), info.name.c_str(), v.cat,
             info.cardinality));
       }
     }
   }
-  for (int64_t t = 0; t < num_tuples_; ++t) {
+  for (int64_t t = 0; t < num_tuples(); ++t) {
     if (labels_[t] >= num_classes()) {
       return Status::Corruption(
           StringPrintf("tuple %lld: label %d outside %d classes",

@@ -8,21 +8,34 @@
 
 namespace smptree {
 
+namespace {
+
+/// Splits `data` by `to_test`, each side keeping the source order.
+TrainTestSplit Partition(const Dataset& data,
+                         const std::vector<bool>& to_test) {
+  std::vector<int64_t> rows[2];
+  for (size_t t = 0; t < to_test.size(); ++t) {
+    rows[to_test[t] ? 1 : 0].push_back(static_cast<int64_t>(t));
+  }
+  TrainTestSplit split{Dataset(data.schema()), Dataset(data.schema())};
+  split.train.AppendRows(data, rows[0]);
+  split.test.AppendRows(data, rows[1]);
+  return split;
+}
+
+}  // namespace
+
 Result<TrainTestSplit> SplitTrainTest(const Dataset& data,
                                       double test_fraction, uint64_t seed) {
   if (test_fraction < 0.0 || test_fraction > 1.0) {
     return Status::InvalidArgument("test_fraction outside [0,1]");
   }
   Random rng(seed);
-  TrainTestSplit split{Dataset(data.schema()), Dataset(data.schema())};
-  TupleValues values;
-  for (int64_t t = 0; t < data.num_tuples(); ++t) {
-    values = data.Tuple(t);
-    Dataset& target =
-        rng.Bernoulli(test_fraction) ? split.test : split.train;
-    SMPTREE_RETURN_IF_ERROR(target.Append(values, data.label(t)));
+  std::vector<bool> to_test(static_cast<size_t>(data.num_tuples()));
+  for (size_t t = 0; t < to_test.size(); ++t) {
+    to_test[t] = rng.Bernoulli(test_fraction);
   }
-  return split;
+  return Partition(data, to_test);
 }
 
 Result<TrainTestSplit> StratifiedSplitTrainTest(const Dataset& data,
@@ -56,13 +69,7 @@ Result<TrainTestSplit> StratifiedSplitTrainTest(const Dataset& data,
       to_test[static_cast<size_t>(members[static_cast<size_t>(i)])] = true;
     }
   }
-  TrainTestSplit split{Dataset(data.schema()), Dataset(data.schema())};
-  for (int64_t t = 0; t < data.num_tuples(); ++t) {
-    Dataset& target =
-        to_test[static_cast<size_t>(t)] ? split.test : split.train;
-    SMPTREE_RETURN_IF_ERROR(target.Append(data.Tuple(t), data.label(t)));
-  }
-  return split;
+  return Partition(data, to_test);
 }
 
 std::vector<int32_t> BootstrapCounts(int64_t n, uint64_t seed) {
@@ -83,18 +90,14 @@ Result<BootstrapResult> BootstrapSample(const Dataset& data, uint64_t seed) {
   const std::vector<int32_t> draws = BootstrapCounts(n, seed);
   BootstrapResult result{Dataset(data.schema()),
                          std::vector<bool>(static_cast<size_t>(n), false)};
-  result.sample.Reserve(n);
+  std::vector<int64_t> rows;
+  rows.reserve(static_cast<size_t>(n));
   for (int64_t t = 0; t < n; ++t) {
     const int32_t copies = draws[static_cast<size_t>(t)];
-    if (copies == 0) {
-      result.oob[static_cast<size_t>(t)] = true;
-      continue;
-    }
-    const TupleValues values = data.Tuple(t);
-    for (int32_t c = 0; c < copies; ++c) {
-      SMPTREE_RETURN_IF_ERROR(result.sample.Append(values, data.label(t)));
-    }
+    result.oob[static_cast<size_t>(t)] = copies == 0;
+    rows.insert(rows.end(), static_cast<size_t>(copies), t);
   }
+  result.sample.AppendRows(data, rows);
   return result;
 }
 
@@ -108,21 +111,14 @@ Result<Dataset> ShuffleDataset(const Dataset& data, uint64_t seed) {
     std::swap(order[i], order[j]);
   }
   Dataset out(data.schema());
-  out.Reserve(data.num_tuples());
-  for (int64_t t : order) {
-    SMPTREE_RETURN_IF_ERROR(out.Append(data.Tuple(t), data.label(t)));
-  }
+  out.AppendRows(data, order);
   return out;
 }
 
 Dataset TakePrefix(const Dataset& data, int64_t n) {
   n = std::min(n, data.num_tuples());
   Dataset out(data.schema());
-  out.Reserve(n);
-  for (int64_t t = 0; t < n; ++t) {
-    Status s = out.Append(data.Tuple(t), data.label(t));
-    (void)s;  // append into a fresh same-schema dataset cannot fail
-  }
+  out.AppendRange(data, 0, n);
   return out;
 }
 

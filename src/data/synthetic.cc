@@ -87,7 +87,7 @@ Schema SyntheticSchema(int num_attrs) {
   return schema;
 }
 
-bool SyntheticGroupA(int function, const TupleValues& values) {
+bool SyntheticGroupA(int function, std::span<const AttrValue> values) {
   const double salary = values[kSalary].f;
   const double commission = values[kCommission].f;
   const double age = values[kAge].f;
@@ -192,7 +192,7 @@ Result<Dataset> GenerateMulticlassSynthetic(const MulticlassConfig& config) {
 
   const Schema schema = MulticlassSchema(config.num_attrs, config.num_classes);
   Dataset data(schema);
-  data.Reserve(config.num_tuples);
+  data.Resize(config.num_tuples);
   Random rng(config.seed);
 
   TupleValues values(config.num_attrs);
@@ -225,8 +225,7 @@ Result<Dataset> GenerateMulticlassSynthetic(const MulticlassConfig& config) {
       band = static_cast<int>(
           rng.Uniform(static_cast<uint64_t>(config.num_classes)));
     }
-    SMPTREE_RETURN_IF_ERROR(
-        data.Append(values, static_cast<ClassLabel>(band)));
+    data.Set(t, values, static_cast<ClassLabel>(band));
   }
   return data;
 }
@@ -248,58 +247,57 @@ Result<Dataset> GenerateSynthetic(const SyntheticConfig& config) {
     return Status::InvalidArgument("label_noise outside [0,1]");
   }
 
-  const Schema schema = SyntheticSchema(config.num_attrs);
-  Dataset data(schema);
-  data.Reserve(config.num_tuples);
+  Dataset data(SyntheticSchema(config.num_attrs));
   Random rng(config.seed);
-
-  TupleValues values(config.num_attrs);
-  for (int64_t t = 0; t < config.num_tuples; ++t) {
-    const ClassLabel label = GenerateSyntheticTuple(
-        schema, config.function, config.label_noise, &rng, &values);
-    SMPTREE_RETURN_IF_ERROR(data.Append(values, label));
-  }
+  AppendSynthetic(config.function, config.label_noise, config.num_tuples,
+                  &rng, &data);
   return data;
 }
 
-ClassLabel GenerateSyntheticTuple(const Schema& schema, int function,
-                                  double label_noise, Random* rng,
-                                  TupleValues* out) {
-  TupleValues& values = *out;
-  const int num_attrs = schema.num_attrs();
-  const double salary = rng->UniformDouble(20000.0, 150000.0);
-  const double commission =
-      salary >= 75000.0 ? 0.0 : rng->UniformDouble(10000.0, 75000.0);
-  const int32_t elevel = static_cast<int32_t>(rng->Uniform(5));
-  const int32_t car = static_cast<int32_t>(rng->Uniform(20));
-  const int32_t zipcode = static_cast<int32_t>(rng->Uniform(9));
-  const double k = static_cast<double>(9 - zipcode);
-  const double hvalue = rng->UniformDouble(0.5 * k, 1.5 * k) * 100000.0;
+void AppendSynthetic(int function, double label_noise, int64_t n, Random* rng,
+                     Dataset* data) {
+  const Schema& schema = data->schema();
+  const int64_t at = data->num_tuples();
+  data->Resize(at + n);
+  for (int64_t t = at; t < at + n; ++t) {
+    AttrValue values[kNumBaseAttrs];  // the attributes the label reads
+    const double salary = rng->UniformDouble(20000.0, 150000.0);
+    const double commission =
+        salary >= 75000.0 ? 0.0 : rng->UniformDouble(10000.0, 75000.0);
+    const int32_t elevel = static_cast<int32_t>(rng->Uniform(5));
+    const int32_t car = static_cast<int32_t>(rng->Uniform(20));
+    const int32_t zipcode = static_cast<int32_t>(rng->Uniform(9));
+    const double k = static_cast<double>(9 - zipcode);
+    const double hvalue = rng->UniformDouble(0.5 * k, 1.5 * k) * 100000.0;
 
-  values[kSalary].f = static_cast<float>(salary);
-  values[kCommission].f = static_cast<float>(commission);
-  values[kAge].f = static_cast<float>(rng->UniformDouble(20.0, 80.0));
-  values[kElevel].cat = elevel;
-  values[kCar].cat = car;
-  values[kZipcode].cat = zipcode;
-  values[kHvalue].f = static_cast<float>(hvalue);
-  values[kHyears].f = static_cast<float>(rng->UniformDouble(1.0, 30.0));
-  values[kHloan].f = static_cast<float>(rng->UniformDouble(0.0, 500000.0));
+    values[kSalary].f = static_cast<float>(salary);
+    values[kCommission].f = static_cast<float>(commission);
+    values[kAge].f = static_cast<float>(rng->UniformDouble(20.0, 80.0));
+    values[kElevel].cat = elevel;
+    values[kCar].cat = car;
+    values[kZipcode].cat = zipcode;
+    values[kHvalue].f = static_cast<float>(hvalue);
+    values[kHyears].f = static_cast<float>(rng->UniformDouble(1.0, 30.0));
+    values[kHloan].f = static_cast<float>(rng->UniformDouble(0.0, 500000.0));
 
-  for (int a = kNumBaseAttrs; a < num_attrs; ++a) {
-    if (schema.attr(a).is_categorical()) {
-      values[a].cat = static_cast<int32_t>(
-          rng->Uniform(static_cast<uint64_t>(schema.attr(a).cardinality)));
-    } else {
-      values[a].f = static_cast<float>(rng->UniformDouble(0.0, 100000.0));
+    for (int a = 0; a < schema.num_attrs(); ++a) {
+      AttrValue& v = data->mutable_column(a)[t];
+      if (a < kNumBaseAttrs) {
+        v = values[a];
+      } else if (schema.attr(a).is_categorical()) {
+        v.cat = static_cast<int32_t>(
+            rng->Uniform(static_cast<uint64_t>(schema.attr(a).cardinality)));
+      } else {
+        v.f = static_cast<float>(rng->UniformDouble(0.0, 100000.0));
+      }
     }
-  }
 
-  bool group_a = SyntheticGroupA(function, values);
-  if (label_noise > 0.0 && rng->Bernoulli(label_noise)) {
-    group_a = !group_a;
+    bool group_a = SyntheticGroupA(function, values);
+    if (label_noise > 0.0 && rng->Bernoulli(label_noise)) {
+      group_a = !group_a;
+    }
+    data->mutable_labels()[t] = group_a ? 0 : 1;
   }
-  return group_a ? 0 : 1;
 }
 
 }  // namespace smptree

@@ -28,6 +28,7 @@
 #define SMPTREE_DATA_SYNTHETIC_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "data/dataset.h"
@@ -54,14 +55,12 @@ struct SyntheticConfig {
 /// Generates a dataset per `config`. Deterministic in (seed, config).
 Result<Dataset> GenerateSynthetic(const SyntheticConfig& config);
 
-/// Generates one Agrawal tuple in place: fills `values` (sized to
-/// `schema.num_attrs()`, a SyntheticSchema) and returns the label, advancing
-/// `rng` exactly as GenerateSynthetic does per tuple — the streaming source
-/// reuses this so a generator stream and a materialized dataset built from
-/// the same seed agree tuple for tuple.
-ClassLabel GenerateSyntheticTuple(const Schema& schema, int function,
-                                  double label_noise, Random* rng,
-                                  TupleValues* values);
+/// Appends `n` Agrawal tuples to `data` (a SyntheticSchema dataset),
+/// advancing `rng` exactly as GenerateSynthetic does per tuple -- the
+/// streaming source calls this too, so a generator stream and a
+/// materialized dataset built from the same seed agree tuple for tuple.
+void AppendSynthetic(int function, double label_noise, int64_t n, Random* rng,
+                     Dataset* data);
 
 /// The nine-attribute base schema padded to `num_attrs`, with classes
 /// {"Group A", "Group B"}.
@@ -70,7 +69,7 @@ Schema SyntheticSchema(int num_attrs);
 /// Evaluates classification function `function` (1..10) on base attribute
 /// values; exposed for tests that verify the generator's labels.
 /// `values` must follow SyntheticSchema attribute order.
-bool SyntheticGroupA(int function, const TupleValues& values);
+bool SyntheticGroupA(int function, std::span<const AttrValue> values);
 
 /// Number of defined classification functions (10).
 int NumSyntheticFunctions();

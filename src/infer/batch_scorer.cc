@@ -204,30 +204,22 @@ void WalkLabels(const FlatTree& tree, const AttrValue* const* node_col,
 
 }  // namespace
 
-void BatchScorer::BindColumns(const Batch& batch) {
-  columns_.resize(static_cast<size_t>(batch.num_attrs()));
-  for (int a = 0; a < batch.num_attrs(); ++a) {
-    columns_[static_cast<size_t>(a)] = batch.column(a).data();
-  }
-}
-
 const AttrValue* const* BatchScorer::BindTree(const FlatTree& tree,
+                                              const ColumnBlock& batch,
                                               size_t slot) {
   const size_t n = static_cast<size_t>(tree.num_nodes());
   if (node_col_.size() < slot + n) node_col_.resize(slot + n);
   const int32_t* attr = tree.attr();
-  const AttrValue* const* cols = columns_.data();
   for (size_t id = 0; id < n; ++id) {
-    node_col_[slot + id] = cols[attr[id]];
+    node_col_[slot + id] = batch.column(attr[id]).data();
   }
   return node_col_.data() + slot;
 }
 
-void BatchScorer::ScoreTree(const FlatTree& tree, const Batch& batch,
+void BatchScorer::ScoreTree(const FlatTree& tree, const ColumnBlock& batch,
                             ClassLabel* labels) {
   assert(!tree.empty());
-  BindColumns(batch);
-  const AttrValue* const* node_col = BindTree(tree, 0);
+  const AttrValue* const* node_col = BindTree(tree, batch, 0);
   const int64_t num_tuples = batch.num_tuples();
   for (int64_t begin = 0; begin < num_tuples; begin += kBlockTuples) {
     const int64_t count = std::min(kBlockTuples, num_tuples - begin);
@@ -235,9 +227,9 @@ void BatchScorer::ScoreTree(const FlatTree& tree, const Batch& batch,
   }
 }
 
-void BatchScorer::ScoreForest(const FlatForest& forest, const Batch& batch,
-                              ClassLabel* labels, double* probs) {
-  BindColumns(batch);
+void BatchScorer::ScoreForest(const FlatForest& forest,
+                              const ColumnBlock& batch, ClassLabel* labels,
+                              double* probs) {
   const size_t num_classes = static_cast<size_t>(forest.num_classes());
   const int num_trees = forest.num_trees();
   const double denom = forest.vote_denominator();
@@ -247,7 +239,7 @@ void BatchScorer::ScoreForest(const FlatForest& forest, const Batch& batch,
   size_t slot = 0;
   for (int m = 0; m < num_trees; ++m) {
     member_slot_[static_cast<size_t>(m)] = slot;
-    BindTree(forest.tree(m), slot);
+    BindTree(forest.tree(m), batch, slot);
     slot += static_cast<size_t>(forest.tree(m).num_nodes());
   }
   const int64_t num_tuples = batch.num_tuples();

@@ -1,8 +1,9 @@
-// BatchScorer: scores a columnar serve::Batch against a FlatTree /
-// FlatForest with an interleaved lane-refill walk. Instead of gathering
-// each row into a scratch vector and walking the tree tuple-at-a-time (the
-// pointer path in serve/engine.cc before PR 8), the scorer advances kLanes
-// independent root-to-leaf walks at once:
+// BatchScorer: scores a ColumnBlock -- a serving Batch or a Dataset's
+// block() -- against a FlatTree / FlatForest with an interleaved
+// lane-refill walk. Instead of gathering each row into a scratch vector
+// and walking the tree tuple-at-a-time (the engine's pointer path before
+// the flat models), the scorer advances kLanes independent root-to-leaf
+// walks at once:
 //
 //   - tuples are processed in blocks of kBlockTuples so label/vote scratch
 //     and the tree's hot levels stay cache-resident;
@@ -46,7 +47,6 @@
 
 #include "data/dataset.h"
 #include "infer/flat_tree.h"
-#include "serve/batch.h"
 
 namespace smptree {
 
@@ -63,12 +63,13 @@ class BatchScorer {
   /// Scores every tuple of `batch`, writing labels[0..num_tuples). The
   /// batch's columns must match the schema the tree was trained on; `tree`
   /// must be non-empty.
-  void ScoreTree(const FlatTree& tree, const Batch& batch, ClassLabel* labels);
+  void ScoreTree(const FlatTree& tree, const ColumnBlock& batch,
+                 ClassLabel* labels);
 
   /// Majority-vote labels into labels[0..num_tuples); when `probs` is
   /// non-null, vote-share probabilities (row-major num_tuples x
   /// num_classes) byte-identical to Forest::Probabilities.
-  void ScoreForest(const FlatForest& forest, const Batch& batch,
+  void ScoreForest(const FlatForest& forest, const ColumnBlock& batch,
                    ClassLabel* labels, double* probs);
 
   /// Independent root-to-leaf chains walked in lockstep. Eight ~15-cycle
@@ -81,18 +82,14 @@ class BatchScorer {
   /// enough that vote scratch stays in L1/L2 next to the tree's top levels.
   static constexpr int64_t kBlockTuples = 512;
 
-  /// Caches one data pointer per batch column (the inner loop indexes
-  /// columns by split attribute every pass).
-  void BindColumns(const Batch& batch);
-
   /// Fills node_col_[slot .. slot + num_nodes) with each node's split
-  /// column pointer for the bound batch, returning the span's base. One
-  /// pointer per node per batch lets the walk load its value straight off
-  /// the node id -- the meta -> attr -> column indirection would otherwise
-  /// sit on the critical dependency chain of every step.
-  const AttrValue* const* BindTree(const FlatTree& tree, size_t slot);
+  /// column pointer in `batch`, returning the span's base. One pointer per
+  /// node per batch lets the walk load its value straight off the node id
+  /// -- the meta -> attr -> column indirection would otherwise sit on the
+  /// critical dependency chain of every step.
+  const AttrValue* const* BindTree(const FlatTree& tree,
+                                   const ColumnBlock& batch, size_t slot);
 
-  std::vector<const AttrValue*> columns_;
   std::vector<const AttrValue*> node_col_;  ///< per-node column, per batch
   std::vector<size_t> member_slot_;  ///< forest: node_col_ offset per member
   std::vector<ClassLabel> member_labels_;  ///< forest: one member's labels

@@ -70,10 +70,9 @@ Result<Batch> Batch::FromJson(const Schema& schema, const JsonValue& doc) {
   if (rows.empty()) {
     return Status::InvalidArgument("\"tuples\" is empty");
   }
-  Batch batch;
   const int num_attrs = schema.num_attrs();
-  batch.columns_.assign(static_cast<size_t>(num_attrs),
-                        std::vector<AttrValue>(rows.size()));
+  Batch batch(num_attrs);
+  batch.Resize(static_cast<int64_t>(rows.size()));
   for (size_t row = 0; row < rows.size(); ++row) {
     const std::vector<JsonValue>& values = rows[row].array_items();
     if (!rows[row].is_array() ||
@@ -83,26 +82,11 @@ Result<Batch> Batch::FromJson(const Schema& schema, const JsonValue& doc) {
           static_cast<long long>(row), num_attrs));
     }
     for (int a = 0; a < num_attrs; ++a) {
-      const size_t col = static_cast<size_t>(a);
-      SMPTREE_RETURN_IF_ERROR(ValueFromJson(schema.attr(a), values[col],
-                                            static_cast<int64_t>(row),
-                                            &batch.columns_[col][row]));
+      SMPTREE_RETURN_IF_ERROR(ValueFromJson(
+          schema.attr(a), values[static_cast<size_t>(a)],
+          static_cast<int64_t>(row), &batch.mutable_column(a)[row]));
     }
   }
-  batch.num_tuples_ = static_cast<int64_t>(rows.size());
-  return batch;
-}
-
-Batch Batch::FromDataset(const Dataset& data, int64_t begin, int64_t end) {
-  Batch batch;
-  const int num_attrs = data.num_attrs();
-  batch.columns_.resize(static_cast<size_t>(num_attrs));
-  for (int a = 0; a < num_attrs; ++a) {
-    auto col = data.column(a);
-    batch.columns_[static_cast<size_t>(a)]
-        .assign(col.begin() + begin, col.begin() + end);
-  }
-  batch.num_tuples_ = end - begin;
   return batch;
 }
 

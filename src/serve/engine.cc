@@ -46,7 +46,7 @@ void PredictionEngine::ReleaseArena(WorkerArena* arena) {
   slot_freed_.NotifyOne();
 }
 
-Result<PredictOutcome> PredictionEngine::Predict(const Batch& batch) {
+Result<PredictOutcome> PredictionEngine::Predict(const ColumnBlock& batch) {
   if (batch.num_tuples() <= 0) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::InvalidArgument("empty batch");

@@ -1,7 +1,7 @@
 // PredictionEngine: the scoring core of the serving subsystem. Predict
 // scores each whole batch on the calling thread through the snapshot's
 // flattened model (infer/batch_scorer.h) -- level-synchronous traversal
-// straight off the Batch columns, no per-tuple row gather, no pointer
+// straight off the block's columns, no per-tuple row gather, no pointer
 // chasing. There are no engine threads and no request hand-off: the caller
 // (an HTTP event loop running the predict handler inline, or the CLI)
 // borrows one of `num_workers` scoring slots, scores, and returns it. With
@@ -31,8 +31,8 @@
 #include <vector>
 
 #include "core/records.h"
+#include "data/dataset.h"
 #include "infer/batch_scorer.h"
-#include "serve/batch.h"
 #include "serve/latency_histogram.h"
 #include "serve/model_store.h"
 #include "util/mutex.h"
@@ -100,7 +100,7 @@ class PredictionEngine {
   /// slot is busy. Safe to call from any number of threads concurrently.
   /// Fails without scoring when the batch arity does not match the serving
   /// schema or the engine is shut down.
-  Result<PredictOutcome> Predict(const Batch& batch) EXCLUDES(mu_);
+  Result<PredictOutcome> Predict(const ColumnBlock& batch) EXCLUDES(mu_);
 
   /// Batches already scoring complete; callers waiting for a slot and new
   /// Predict calls fail with Aborted. Idempotent.

@@ -32,6 +32,7 @@ Status HoeffdingTreeBuilder::Init() {
   SMPTREE_RETURN_IF_ERROR(sketch_.Init(schema_, sketch_options));
 
   tree_.CreateRoot(ClassHistogram(schema_.num_classes()));
+  warmup_ = StreamBatch(schema_);
   initialized_ = true;
   const int root_slot = NewLeafSlot(tree_.root());
   (void)root_slot;
@@ -45,46 +46,35 @@ Status HoeffdingTreeBuilder::Ingest(const StreamBatch& batch) {
   if (!initialized_) {
     return Status::InvalidArgument("Ingest before Init");
   }
-  if (batch.tuples.size() != batch.labels.size()) {
-    return Status::InvalidArgument("batch tuple/label size mismatch");
-  }
-  for (size_t i = 0; i < batch.tuples.size(); ++i) {
-    SMPTREE_RETURN_IF_ERROR(IngestOne(batch.tuples[i], batch.labels[i]));
-  }
-  return Status::OK();
-}
-
-Status HoeffdingTreeBuilder::IngestOne(const TupleValues& values,
-                                       ClassLabel label) {
-  if (!initialized_) {
-    return Status::InvalidArgument("Ingest before Init");
-  }
-  if (static_cast<int>(values.size()) != schema_.num_attrs()) {
+  if (batch.num_attrs() != schema_.num_attrs()) {
     return Status::InvalidArgument(StringPrintf(
-        "tuple has %d values, schema has %d attrs",
-        static_cast<int>(values.size()), schema_.num_attrs()));
+        "batch has %d attrs, schema has %d attrs", batch.num_attrs(),
+        schema_.num_attrs()));
   }
-  if (label >= schema_.num_classes()) {
-    return Status::InvalidArgument(
-        StringPrintf("label %d out of range", int{label}));
-  }
-
-  if (!sketch_.frozen()) {
-    sketch_.Observe(values);
-    warmup_.emplace_back(values, label);
-    counters_.tuples.fetch_add(1, std::memory_order_relaxed);
-    if (sketch_.observed() >= options_.warmup_tuples) {
-      SMPTREE_RETURN_IF_ERROR(FreezeAndReplay());
+  const ColumnBlock& block = batch.block();
+  for (int64_t t = 0; t < batch.num_tuples(); ++t) {
+    const ClassLabel label = batch.label(t);
+    if (label >= schema_.num_classes()) {
+      return Status::InvalidArgument(
+          StringPrintf("label %d out of range", int{label}));
     }
-  } else {
-    SMPTREE_RETURN_IF_ERROR(Route(values, label));
-    counters_.tuples.fetch_add(1, std::memory_order_relaxed);
-  }
+    if (!sketch_.frozen()) {
+      sketch_.Observe(block, t);
+      warmup_.AppendRange(batch, t, t + 1);
+      counters_.tuples.fetch_add(1, std::memory_order_relaxed);
+      if (sketch_.observed() >= options_.warmup_tuples) {
+        SMPTREE_RETURN_IF_ERROR(FreezeAndReplay());
+      }
+    } else {
+      SMPTREE_RETURN_IF_ERROR(Route(block, t, label));
+      counters_.tuples.fetch_add(1, std::memory_order_relaxed);
+    }
 
-  if (options_.snapshot_every > 0 && options_.publish) {
-    const int64_t t = counters_.tuples.load(std::memory_order_relaxed);
-    if (t % options_.snapshot_every == 0) {
-      SMPTREE_RETURN_IF_ERROR(Publish());
+    if (options_.snapshot_every > 0 && options_.publish) {
+      const int64_t n = counters_.tuples.load(std::memory_order_relaxed);
+      if (n % options_.snapshot_every == 0) {
+        SMPTREE_RETURN_IF_ERROR(Publish());
+      }
     }
   }
   return Status::OK();
@@ -105,24 +95,22 @@ Status HoeffdingTreeBuilder::FreezeAndReplay() {
   }
   counters_.histogram_bytes.store(active_bytes, std::memory_order_relaxed);
 
-  for (const auto& [values, label] : warmup_) {
-    SMPTREE_RETURN_IF_ERROR(Route(values, label));
+  for (int64_t t = 0; t < warmup_.num_tuples(); ++t) {
+    SMPTREE_RETURN_IF_ERROR(Route(warmup_.block(), t, warmup_.label(t)));
   }
-  warmup_.clear();
-  warmup_.shrink_to_fit();
+  warmup_ = StreamBatch();
   return Status::OK();
 }
 
-Status HoeffdingTreeBuilder::Route(const TupleValues& values,
+Status HoeffdingTreeBuilder::Route(const ColumnBlock& block, int64_t tuple,
                                    ClassLabel label) {
+  block.GatherRow(tuple, &row_);  // one gather, then contiguous reads
   NodeId id = tree_.root();
   while (true) {
     TreeNode& nd = tree_.mutable_node(id);
     ++nd.class_counts[label];
     if (nd.is_leaf()) break;
-    id = nd.split.GoesLeft(values[static_cast<size_t>(nd.split.attr)])
-             ? nd.left
-             : nd.right;
+    id = nd.split.GoesLeft(row_[nd.split.attr]) ? nd.left : nd.right;
   }
   TreeNode& nd = tree_.mutable_node(id);
   nd.majority = MajorityLabel(nd.class_counts);
@@ -141,9 +129,7 @@ Status HoeffdingTreeBuilder::Route(const TupleValues& values,
   const Quantizer& layout = quantizer();
   const int num_attrs = schema_.num_attrs();
   for (int a = 0; a < num_attrs; ++a) {
-    leaf.bins.Add(
-        layout.offset(a) + layout.BinOf(a, values[static_cast<size_t>(a)]),
-        label);
+    leaf.bins.Add(layout.offset(a) + layout.BinOf(a, row_[a]), label);
   }
   if (++leaf.since_eval >= options_.grace_period) {
     return TrySplit(slot);

@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "binned/leaf_histogram.h"
@@ -105,9 +104,6 @@ class HoeffdingTreeBuilder {
   /// warmup), splitting leaves and hot-publishing snapshots as configured.
   Status Ingest(const StreamBatch& batch);
 
-  /// One-tuple Ingest.
-  Status IngestOne(const TupleValues& values, ClassLabel label);
-
   /// Freezes the sketch if the stream ended inside warmup (replaying the
   /// buffer), then publishes a final snapshot when a publish hook is set.
   Status Finish();
@@ -145,9 +141,9 @@ class HoeffdingTreeBuilder {
   /// Freezes cuts, sizes the root histogram, and replays the warmup buffer.
   Status FreezeAndReplay();
 
-  /// Routes one tuple root-to-leaf, updating path counts and the leaf's
-  /// statistics; attempts a split at grace-period boundaries.
-  Status Route(const TupleValues& values, ClassLabel label);
+  /// Routes tuple `tuple` of `block` root-to-leaf, updating path counts and
+  /// the leaf's statistics; attempts a split at grace-period boundaries.
+  Status Route(const ColumnBlock& block, int64_t tuple, ClassLabel label);
 
   /// Hoeffding test at a leaf; splits when the bound (or tie-break) holds.
   Status TrySplit(int slot);
@@ -170,7 +166,8 @@ class HoeffdingTreeBuilder {
   std::vector<StreamLeaf> leaves_;
   std::vector<int> free_slots_;
   std::vector<int32_t> slot_of_node_;  ///< NodeId -> leaves_ index or -1
-  std::vector<std::pair<TupleValues, ClassLabel>> warmup_;
+  StreamBatch warmup_;  ///< tuples seen before the cuts freeze
+  TupleValues row_;     ///< Route's copy of the tuple it routes
   bool initialized_ = false;
 
   struct Counters {

@@ -3,7 +3,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <vector>
+#include <string>
 
 #include "util/string_util.h"
 
@@ -85,42 +85,26 @@ Result<Dataset> ReadBinaryShard(const Schema& schema,
         static_cast<long long>(bytes_left)));
   }
 
-  std::vector<std::vector<AttrValue>> columns(
-      static_cast<size_t>(num_attrs));
+  Dataset data(schema);
+  data.Resize(num_tuples);
   for (int a = 0; a < num_attrs; ++a) {
-    columns[static_cast<size_t>(a)].resize(static_cast<size_t>(num_tuples));
-    in.read(reinterpret_cast<char*>(columns[static_cast<size_t>(a)].data()),
-            static_cast<std::streamsize>(static_cast<size_t>(num_tuples) *
-                                         sizeof(AttrValue)));
+    in.read(reinterpret_cast<char*>(data.mutable_column(a).data()),
+            static_cast<std::streamsize>(num_tuples * sizeof(AttrValue)));
   }
-  std::vector<ClassLabel> labels(static_cast<size_t>(num_tuples));
-  in.read(reinterpret_cast<char*>(labels.data()),
-          static_cast<std::streamsize>(static_cast<size_t>(num_tuples) *
-                                       sizeof(ClassLabel)));
+  in.read(reinterpret_cast<char*>(data.mutable_labels().data()),
+          static_cast<std::streamsize>(num_tuples * sizeof(ClassLabel)));
   if (!in) {
     return Status::Corruption(
         StringPrintf("%s is truncated", path.c_str()));
   }
-  for (int a = 0; a < num_attrs; ++a) {
-    if (schema.attr(a).is_categorical()) continue;
-    const std::vector<AttrValue>& column = columns[static_cast<size_t>(a)];
-    for (int64_t t = 0; t < num_tuples; ++t) {
-      SMPTREE_RETURN_IF_ERROR(CheckContinuousValue(
-          schema.attr(a), t, column[static_cast<size_t>(t)].f));
-    }
+  // A non-finite value is InvalidArgument, as from the CSV reader; a code
+  // or label out of range is this file's corruption.
+  const Status valid = data.Validate();
+  if (valid.IsCorruption()) {
+    return Status::Corruption(StringPrintf(
+        "%s: %s", path.c_str(), std::string(valid.message()).c_str()));
   }
-
-  Dataset data(schema);
-  data.Reserve(num_tuples);
-  TupleValues values(static_cast<size_t>(num_attrs));
-  for (int64_t t = 0; t < num_tuples; ++t) {
-    for (int a = 0; a < num_attrs; ++a) {
-      values[static_cast<size_t>(a)] =
-          columns[static_cast<size_t>(a)][static_cast<size_t>(t)];
-    }
-    SMPTREE_RETURN_IF_ERROR(
-        data.Append(values, labels[static_cast<size_t>(t)]));
-  }
+  SMPTREE_RETURN_IF_ERROR(valid);
   return data;
 }
 

@@ -22,9 +22,11 @@ namespace smptree {
 /// Writes `data` as one binary shard at `path` (real filesystem).
 Status WriteBinaryShard(const Dataset& data, const std::string& path);
 
-/// Reads a shard written by WriteBinaryShard. The header's attribute and
-/// class counts are validated against `schema`; categorical codes and labels
-/// are range-checked by Dataset::Append.
+/// Reads a shard written by WriteBinaryShard straight into the columns of
+/// the returned Dataset. The header's attribute and class counts are
+/// validated against `schema`, and the values by Dataset::Validate: a
+/// non-finite continuous value is InvalidArgument, a categorical code or
+/// label out of range is Corruption naming the file.
 Result<Dataset> ReadBinaryShard(const Schema& schema, const std::string& path);
 
 }  // namespace smptree

@@ -41,13 +41,13 @@ Status SketchQuantizer::Init(const Schema& schema, const Options& options) {
   return Status::OK();
 }
 
-void SketchQuantizer::Observe(const TupleValues& values) {
+void SketchQuantizer::Observe(const ColumnBlock& block, int64_t tuple) {
   if (!initialized_ || frozen_) return;
   const size_t cap = static_cast<size_t>(options_.reservoir_size);
   for (size_t a = 0; a < reservoirs_.size(); ++a) {
     if (schema_.attr(static_cast<int>(a)).is_categorical()) continue;
     std::vector<float>& reservoir = reservoirs_[a];
-    const float v = values[a].f;
+    const float v = block.value(tuple, static_cast<int>(a)).f;
     if (reservoir.size() < cap) {
       reservoir.push_back(v);
     } else {

@@ -45,8 +45,8 @@ class SketchQuantizer {
   /// the uint8 bin space (<= 256), as in the batch quantizer.
   Status Init(const Schema& schema, const Options& options);
 
-  /// Feeds one tuple's values into the reservoirs. No-op once frozen.
-  void Observe(const TupleValues& values);
+  /// Feeds tuple `tuple` of `block` into the reservoirs. No-op once frozen.
+  void Observe(const ColumnBlock& block, int64_t tuple);
 
   /// Derives cuts from the reservoirs and fixes the bin layout. Idempotent;
   /// fails if Init has not run. Attributes with an empty reservoir get a

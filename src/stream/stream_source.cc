@@ -15,6 +15,13 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// Empties `batch` for a refill under `schema`, keeping its capacity unless
+/// it last held another schema.
+void ClearBatch(const Schema& schema, StreamBatch* batch) {
+  if (!SchemasCompatible(batch->schema(), schema)) *batch = StreamBatch(schema);
+  batch->Clear();
+}
+
 }  // namespace
 
 // ------------------------------------------------------- SyntheticStream
@@ -24,12 +31,11 @@ SyntheticStreamSource::SyntheticStreamSource(const SyntheticConfig& config)
       function_(config.function),
       label_noise_(config.label_noise),
       limit_(config.num_tuples),
-      rng_(config.seed),
-      scratch_(static_cast<size_t>(config.num_attrs)) {}
+      rng_(config.seed) {}
 
 Result<int64_t> SyntheticStreamSource::NextBatch(int64_t max_tuples,
                                                  StreamBatch* batch) {
-  batch->Clear();
+  ClearBatch(schema_, batch);
   if (function_ < 1 || function_ > NumSyntheticFunctions()) {
     return Status::InvalidArgument(StringPrintf(
         "classification function %d outside 1..10", function_));
@@ -37,14 +43,7 @@ Result<int64_t> SyntheticStreamSource::NextBatch(int64_t max_tuples,
   int64_t want = max_tuples;
   if (limit_ > 0) want = std::min(want, limit_ - emitted_);
   if (want <= 0) return int64_t{0};
-  batch->tuples.reserve(static_cast<size_t>(want));
-  batch->labels.reserve(static_cast<size_t>(want));
-  for (int64_t i = 0; i < want; ++i) {
-    const ClassLabel label = GenerateSyntheticTuple(
-        schema_, function_, label_noise_, &rng_, &scratch_);
-    batch->tuples.push_back(scratch_);
-    batch->labels.push_back(label);
-  }
+  AppendSynthetic(function_, label_noise_, want, &rng_, batch);
   emitted_ += want;
   return want;
 }
@@ -109,7 +108,7 @@ void DiskStreamSource::ReaderLoop() {
 
 Result<int64_t> DiskStreamSource::NextBatch(int64_t max_tuples,
                                             StreamBatch* batch) {
-  batch->Clear();
+  ClearBatch(schema_, batch);
   int64_t delivered = 0;
   while (delivered < max_tuples) {
     if (current_pos_ >= current_.num_tuples()) {
@@ -126,7 +125,6 @@ Result<int64_t> DiskStreamSource::NextBatch(int64_t max_tuples,
         return reader_status_;
       }
       current_ = std::move(ready_);
-      ready_ = Dataset();
       ready_valid_ = false;
       current_pos_ = 0;
       cv_.NotifyAll();  // free the slot for the next read-ahead
@@ -134,10 +132,7 @@ Result<int64_t> DiskStreamSource::NextBatch(int64_t max_tuples,
     }
     const int64_t take = std::min(max_tuples - delivered,
                                   current_.num_tuples() - current_pos_);
-    for (int64_t i = 0; i < take; ++i) {
-      batch->tuples.push_back(current_.Tuple(current_pos_ + i));
-      batch->labels.push_back(current_.label(current_pos_ + i));
-    }
+    batch->AppendRange(current_, current_pos_, current_pos_ + take);
     current_pos_ += take;
     delivered += take;
   }

@@ -1,6 +1,6 @@
 // Streaming input for the incremental builder: a StreamSource hands out
-// bounded batches of (tuple, label) pairs from an unbounded or out-of-core
-// input. Two implementations:
+// bounded batches of labelled tuples -- column blocks, like every other data
+// holder -- from an unbounded or out-of-core input. Two implementations:
 //
 //  - SyntheticStreamSource wraps the Agrawal generator (data/synthetic.h)
 //    tuple-for-tuple, so a stream and a materialized GenerateSynthetic
@@ -33,18 +33,11 @@
 
 namespace smptree {
 
-/// One delivered chunk of stream input, row-wise (the incremental builder
-/// routes tuple by tuple, so there is no columnar rearrangement to pay for).
-struct StreamBatch {
-  std::vector<TupleValues> tuples;
-  std::vector<ClassLabel> labels;
-
-  void Clear() {
-    tuples.clear();
-    labels.clear();
-  }
-  int64_t size() const { return static_cast<int64_t>(tuples.size()); }
-};
+/// One delivered chunk of stream input: a labelled column block, the layout
+/// of every other data holder. Sources fill its columns in place, and a
+/// batch reused across NextBatch calls keeps its capacity, so steady-state
+/// batches allocate nothing.
+using StreamBatch = Dataset;
 
 /// Pull interface over an ordered tuple stream. Not thread-safe: one
 /// consumer thread calls NextBatch.
@@ -54,9 +47,9 @@ class StreamSource {
 
   virtual const Schema& schema() const = 0;
 
-  /// Clears `batch` and refills it with up to `max_tuples` tuples. Returns
-  /// the number delivered; 0 means the stream is exhausted. Must not block
-  /// on I/O (see file comment).
+  /// Clears `batch` and refills it with up to `max_tuples` tuples under
+  /// schema(). Returns the number delivered; 0 means the stream is
+  /// exhausted. Must not block on I/O (see file comment).
   virtual Result<int64_t> NextBatch(int64_t max_tuples, StreamBatch* batch) = 0;
 };
 
@@ -77,7 +70,6 @@ class SyntheticStreamSource : public StreamSource {
   const int64_t limit_;  ///< 0 = unbounded
   Random rng_;
   int64_t emitted_ = 0;
-  TupleValues scratch_;
 };
 
 /// Sharded on-disk stream with double-buffered read-ahead. Shards ending in

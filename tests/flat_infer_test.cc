@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/classifier.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "ensemble/forest_builder.h"
 #include "infer/batch_scorer.h"
@@ -54,7 +55,7 @@ DecisionTree Train(const Dataset& data, Algorithm algorithm,
 /// Classify and one BatchScorer pass -- and asserts label equality.
 void ExpectTreeParity(const DecisionTree& tree, const Dataset& data) {
   const FlatTree flat = FlatTree::Compile(tree);
-  const Batch batch = Batch::FromDataset(data, 0, data.num_tuples());
+  const ColumnBlock& batch = data.block();
   std::vector<ClassLabel> labels(static_cast<size_t>(data.num_tuples()));
   BatchScorer scorer;
   scorer.ScoreTree(flat, batch, labels.data());
@@ -219,7 +220,8 @@ TEST(FlatTreeTest, BlockBoundaryBatchSizes) {
   for (const int64_t size : {int64_t{1}, int64_t{3}, int64_t{511},
                              int64_t{512}, int64_t{513}, int64_t{1025},
                              int64_t{1400}}) {
-    const Batch batch = Batch::FromDataset(data, 0, size);
+    const Dataset prefix = TakePrefix(data, size);
+    const ColumnBlock& batch = prefix.block();
     std::vector<ClassLabel> labels(static_cast<size_t>(size));
     scorer.ScoreTree(flat, batch, labels.data());
     for (int64_t t = 0; t < size; ++t) {
@@ -245,7 +247,7 @@ TEST(FlatForestTest, VotesAndProbsAreByteIdentical) {
   EXPECT_EQ(train.schema().num_classes(), flat.num_classes());
   EXPECT_GT(flat.bytes(), 0u);
 
-  const Batch batch = Batch::FromDataset(eval, 0, eval.num_tuples());
+  const ColumnBlock& batch = eval.block();
   const size_t k = static_cast<size_t>(flat.num_classes());
   std::vector<ClassLabel> labels(static_cast<size_t>(eval.num_tuples()));
   std::vector<double> probs(static_cast<size_t>(eval.num_tuples()) * k);
@@ -287,7 +289,7 @@ TEST(FlatForestTest, MulticlassForestParity) {
   const Forest& forest = *result->forest;
   const FlatForest flat = FlatForest::Compile(forest);
 
-  const Batch batch = Batch::FromDataset(*eval, 0, eval->num_tuples());
+  const ColumnBlock& batch = eval->block();
   const size_t k = static_cast<size_t>(flat.num_classes());
   std::vector<ClassLabel> labels(static_cast<size_t>(eval->num_tuples()));
   std::vector<double> probs(static_cast<size_t>(eval->num_tuples()) * k);

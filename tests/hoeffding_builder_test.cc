@@ -107,7 +107,7 @@ TEST(HoeffdingBuilderTest, EveryMidStreamSnapshotPassesValidate) {
     ASSERT_TRUE(snapshot.Validate().ok())
         << "after " << routed << " tuples: " << snapshot.Validate().ToString();
     // Snapshot and live tree agree on classifications.
-    TupleValues probe = batch.tuples.back();
+    const TupleValues probe = batch.Tuple(batch.num_tuples() - 1);
     EXPECT_EQ(snapshot.Classify(probe), builder.tree().Classify(probe));
   }
 }

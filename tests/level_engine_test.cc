@@ -1,9 +1,13 @@
 #include "parallel/level_engine.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -149,14 +153,37 @@ TEST(WaitTimerTest, FastPathRecordsNothing) {
   EXPECT_EQ(counters.wait_nanos.load(), 0u);
 }
 
+/// The scheduler state letter (R, S, D, ...) of thread `tid` of this
+/// process, read from /proc; '?' while the file is not readable.
+char ThreadState(pid_t tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/stat");
+  const std::string stat((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  // "tid (comm) S ...": comm may hold spaces or parentheses itself.
+  const size_t close = stat.rfind(')');
+  return close == std::string::npos || close + 2 >= stat.size()
+             ? '?'
+             : stat[close + 2];
+}
+
 TEST(WaitTimerTest, BlockedWaitRecordsExactlyOne) {
   // A wait that really blocks accounts exactly one condvar wait, no matter
   // how many spurious wakeups the while-loop absorbs.
   MwkPipeline p;
   p.Arm(2);
   BuildCounters counters;
-  std::thread waiter([&] { p.WaitForLeaf(1, &counters); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::atomic<pid_t> waiter_tid{0};
+  std::thread waiter([&] {
+    waiter_tid.store(gettid(), std::memory_order_release);
+    p.WaitForLeaf(1, &counters);
+  });
+  // Only MarkDone takes the pipeline's mutex besides the waiter, so once
+  // the waiter sleeps it sleeps in WaitForLeaf's condvar wait.
+  pid_t tid = 0;
+  while ((tid = waiter_tid.load(std::memory_order_acquire)) == 0) {
+    std::this_thread::yield();
+  }
+  while (ThreadState(tid) != 'S') std::this_thread::yield();
   p.MarkDone(1);
   waiter.join();
   EXPECT_EQ(counters.condvar_waits.load(), 1u);

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "data/synthetic.h"
+#include "dataset_equal.h"
+#include "util/random.h"
 
 namespace smptree {
 namespace {
@@ -168,6 +172,116 @@ TEST(TakePrefixTest, TakesAndClamps) {
   EXPECT_EQ(five.value(4, 0).f, data.value(4, 0).f);
   Dataset all = TakePrefix(data, 100);
   EXPECT_EQ(all.num_tuples(), 20);
+}
+
+// Row-wise references: the Tuple() + Append loops the sampling functions
+// ran before they became one row gather on the column block. Each must
+// agree with the library byte for byte.
+
+TrainTestSplit RowWiseSplit(const Dataset& data, double fraction,
+                            uint64_t seed) {
+  Random rng(seed);
+  TrainTestSplit split{Dataset(data.schema()), Dataset(data.schema())};
+  for (int64_t t = 0; t < data.num_tuples(); ++t) {
+    Dataset& target = rng.Bernoulli(fraction) ? split.test : split.train;
+    EXPECT_TRUE(target.Append(data.Tuple(t), data.label(t)).ok());
+  }
+  return split;
+}
+
+TrainTestSplit RowWiseStratifiedSplit(const Dataset& data, double fraction,
+                                      uint64_t seed) {
+  std::vector<std::vector<int64_t>> by_class(
+      static_cast<size_t>(data.num_classes()));
+  for (int64_t t = 0; t < data.num_tuples(); ++t) {
+    by_class[data.label(t)].push_back(t);
+  }
+  std::vector<bool> to_test(static_cast<size_t>(data.num_tuples()), false);
+  Random rng(seed);
+  for (std::vector<int64_t>& members : by_class) {
+    for (int64_t i = static_cast<int64_t>(members.size()) - 1; i > 0; --i) {
+      const int64_t j = static_cast<int64_t>(
+          rng.Uniform(static_cast<uint64_t>(i) + 1));
+      std::swap(members[static_cast<size_t>(i)],
+                members[static_cast<size_t>(j)]);
+    }
+    const int64_t take = static_cast<int64_t>(
+        fraction * static_cast<double>(members.size()) + 0.5);
+    for (int64_t i = 0; i < take; ++i) {
+      to_test[static_cast<size_t>(members[static_cast<size_t>(i)])] = true;
+    }
+  }
+  TrainTestSplit split{Dataset(data.schema()), Dataset(data.schema())};
+  for (int64_t t = 0; t < data.num_tuples(); ++t) {
+    Dataset& target = to_test[static_cast<size_t>(t)] ? split.test
+                                                       : split.train;
+    EXPECT_TRUE(target.Append(data.Tuple(t), data.label(t)).ok());
+  }
+  return split;
+}
+
+Dataset RowWiseBootstrap(const Dataset& data, uint64_t seed) {
+  const std::vector<int32_t> draws = BootstrapCounts(data.num_tuples(), seed);
+  Dataset sample(data.schema());
+  for (int64_t t = 0; t < data.num_tuples(); ++t) {
+    for (int32_t c = 0; c < draws[static_cast<size_t>(t)]; ++c) {
+      EXPECT_TRUE(sample.Append(data.Tuple(t), data.label(t)).ok());
+    }
+  }
+  return sample;
+}
+
+Dataset RowWiseShuffle(const Dataset& data, uint64_t seed) {
+  std::vector<int64_t> order(static_cast<size_t>(data.num_tuples()));
+  std::iota(order.begin(), order.end(), 0);
+  Random rng(seed);
+  for (int64_t i = data.num_tuples() - 1; i > 0; --i) {
+    const int64_t j = static_cast<int64_t>(
+        rng.Uniform(static_cast<uint64_t>(i) + 1));
+    std::swap(order[static_cast<size_t>(i)], order[static_cast<size_t>(j)]);
+  }
+  Dataset out(data.schema());
+  for (const int64_t t : order) {
+    EXPECT_TRUE(out.Append(data.Tuple(t), data.label(t)).ok());
+  }
+  return out;
+}
+
+Dataset RowWisePrefix(const Dataset& data, int64_t n) {
+  Dataset out(data.schema());
+  for (int64_t t = 0; t < std::min(n, data.num_tuples()); ++t) {
+    EXPECT_TRUE(out.Append(data.Tuple(t), data.label(t)).ok());
+  }
+  return out;
+}
+
+TEST(SamplingOracleTest, RowGatherMatchesRowWiseAppend) {
+  const Dataset data = MakeData(3000);
+  for (const uint64_t seed : {uint64_t{3}, uint64_t{41}, uint64_t{977}}) {
+    SCOPED_TRACE(seed);
+    auto split = SplitTrainTest(data, 0.3, seed);
+    ASSERT_TRUE(split.ok());
+    const TrainTestSplit want_split = RowWiseSplit(data, 0.3, seed);
+    ExpectSameTuples(split->train, want_split.train);
+    ExpectSameTuples(split->test, want_split.test);
+
+    auto strat = StratifiedSplitTrainTest(data, 0.25, seed);
+    ASSERT_TRUE(strat.ok());
+    const TrainTestSplit want_strat = RowWiseStratifiedSplit(data, 0.25, seed);
+    ExpectSameTuples(strat->train, want_strat.train);
+    ExpectSameTuples(strat->test, want_strat.test);
+
+    auto boot = BootstrapSample(data, seed);
+    ASSERT_TRUE(boot.ok());
+    ExpectSameTuples(boot->sample, RowWiseBootstrap(data, seed));
+
+    auto shuffled = ShuffleDataset(data, seed);
+    ASSERT_TRUE(shuffled.ok());
+    ExpectSameTuples(*shuffled, RowWiseShuffle(data, seed));
+
+    const int64_t n = static_cast<int64_t>(seed) * 7;
+    ExpectSameTuples(TakePrefix(data, n), RowWisePrefix(data, n));
+  }
 }
 
 }  // namespace

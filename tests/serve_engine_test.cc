@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/classifier.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "serve/batch.h"
 #include "serve/model_store.h"
@@ -77,7 +78,7 @@ TEST(PredictionEngineTest, LabelsMatchTreeClassify) {
 
   const Dataset data = CarRows();
   auto outcome =
-      engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+      engine.Predict(data.block());
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->model_epoch, 1);
   ASSERT_EQ(static_cast<int64_t>(outcome->labels.size()), data.num_tuples());
@@ -104,7 +105,9 @@ TEST(PredictionEngineTest, MatchesTrainedClassifierOnSyntheticData) {
   ASSERT_TRUE(store.ok());
   PredictionEngine engine(store->get(), EngineOptions());
 
-  auto outcome = engine.Predict(Batch::FromDataset(*data, 100, 400));
+  Dataset rows(data->schema());
+  rows.AppendRange(*data, 100, 400);
+  auto outcome = engine.Predict(rows.block());
   ASSERT_TRUE(outcome.ok());
   for (int64_t t = 100; t < 400; ++t) {
     ASSERT_EQ(outcome->labels[t - 100], expected[t - 100]);
@@ -125,7 +128,7 @@ TEST(PredictionEngineTest, RejectsEmptyAndMisshapenBatches) {
   TupleValues one(1);
   one[0].f = 40.0f;
   ASSERT_TRUE(skinny.Append(one, 0).ok());
-  EXPECT_FALSE(engine.Predict(Batch::FromDataset(skinny, 0, 1)).ok());
+  EXPECT_FALSE(engine.Predict(TakePrefix(skinny, 1).block()).ok());
 
   EXPECT_EQ(engine.Stats().rejected, 2u);
   EXPECT_EQ(engine.Stats().batches, 0u);
@@ -137,7 +140,7 @@ TEST(PredictionEngineTest, PredictFailsAfterShutdown) {
   PredictionEngine engine(store->get(), EngineOptions());
   engine.Shutdown();
   const Dataset data = CarRows();
-  EXPECT_FALSE(engine.Predict(Batch::FromDataset(data, 0, 2)).ok());
+  EXPECT_FALSE(engine.Predict(TakePrefix(data, 2).block()).ok());
 }
 
 TEST(PredictionEngineTest, ConcurrentPredictsFromManyThreads) {
@@ -156,7 +159,7 @@ TEST(PredictionEngineTest, ConcurrentPredictsFromManyThreads) {
     callers.emplace_back([&] {
       for (int i = 0; i < kBatchesPerThread; ++i) {
         auto outcome =
-            engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+            engine.Predict(data.block());
         if (!outcome.ok()) {
           failures.fetch_add(1);
           continue;
@@ -204,7 +207,7 @@ TEST(PredictionEngineTest, InFlightBatchSurvivesReload) {
   const Dataset data = CarRows();
   Result<PredictOutcome> held = Status::Internal("not run");
   std::thread caller([&] {
-    held = engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+    held = engine.Predict(data.block());
   });
   while (!batch_started.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -225,7 +228,7 @@ TEST(PredictionEngineTest, InFlightBatchSurvivesReload) {
   for (const ClassLabel label : held->labels) EXPECT_EQ(label, 0);
 
   // A fresh batch scores against the new model.
-  auto after = engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+  auto after = engine.Predict(data.block());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->model_epoch, 2);
   for (const ClassLabel label : after->labels) EXPECT_EQ(label, 1);
@@ -252,7 +255,7 @@ TEST(PredictionEngineTest, ShutdownAbortsCallerWaitingForSlot) {
   const Dataset data = CarRows();
   Result<PredictOutcome> held = Status::Internal("not run");
   std::thread holder([&] {
-    held = engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+    held = engine.Predict(data.block());
   });
   while (!batch_started.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -260,7 +263,7 @@ TEST(PredictionEngineTest, ShutdownAbortsCallerWaitingForSlot) {
   Result<PredictOutcome> waiter_result = Status::Internal("not run");
   std::thread waiter([&] {
     waiter_result =
-        engine.Predict(Batch::FromDataset(data, 0, data.num_tuples()));
+        engine.Predict(data.block());
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -293,7 +296,7 @@ TEST(PredictionEngineTest, StatsReportLatencyQuantiles) {
   PredictionEngine engine(store->get(), EngineOptions());
   const Dataset data = CarRows();
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(engine.Predict(Batch::FromDataset(data, 0, 6)).ok());
+    ASSERT_TRUE(engine.Predict(TakePrefix(data, 6).block()).ok());
   }
   const EngineStats stats = engine.Stats();
   EXPECT_EQ(stats.batches, 20u);

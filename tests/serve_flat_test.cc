@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/classifier.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "ensemble/forest_builder.h"
 #include "serve/batch.h"
@@ -122,7 +123,7 @@ TEST(PredictionEngineTest, TreeForestTreeSwapUnderPinnedBatches) {
     pin_next.store(true, std::memory_order_release);
     Result<PredictOutcome> held = Status::Internal("not run");
     std::thread caller(
-        [&] { held = engine.Predict(Batch::FromDataset(data, 0, kTuples)); });
+        [&] { held = engine.Predict(TakePrefix(data, kTuples).block()); });
     while (!pinned.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -175,7 +176,7 @@ TEST(PredictionEngineTest, TreeForestTreeSwapUnderPinnedBatches) {
   // A fresh batch scores on the epoch-3 tree.
   const std::vector<ClassLabel> oracle_v3 =
       OracleLabels(*store->Current(), data, kTuples);
-  auto after = engine.Predict(Batch::FromDataset(data, 0, kTuples));
+  auto after = engine.Predict(TakePrefix(data, kTuples).block());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->model_epoch, 3);
   EXPECT_TRUE(after->probs.empty());
@@ -212,7 +213,7 @@ TEST(PredictionEngineTest, ConcurrentScoringAcrossKindSwaps) {
   std::vector<PredictOutcome> outcomes;
   std::thread scorer([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      auto outcome = engine.Predict(Batch::FromDataset(data, 0, kTuples));
+      auto outcome = engine.Predict(TakePrefix(data, kTuples).block());
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
       outcomes.push_back(std::move(*outcome));
     }
@@ -279,8 +280,8 @@ TEST(PredictionEngineTest, StatsReportModelBytesAndBatchSizes) {
   options.num_workers = 1;
   PredictionEngine engine(store->get(), options);
 
-  ASSERT_TRUE(engine.Predict(Batch::FromDataset(data, 0, 32)).ok());
-  ASSERT_TRUE(engine.Predict(Batch::FromDataset(data, 0, 100)).ok());
+  ASSERT_TRUE(engine.Predict(TakePrefix(data, 32).block()).ok());
+  ASSERT_TRUE(engine.Predict(TakePrefix(data, 100).block()).ok());
 
   const EngineStats stats = engine.Stats();
   EXPECT_GT(stats.model_bytes_flat, 0u);

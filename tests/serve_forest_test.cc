@@ -16,10 +16,10 @@
 #include "core/classifier.h"
 #include "core/tree_io.h"
 #include "data/schema_io.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "ensemble/forest_builder.h"
 #include "ensemble/forest_io.h"
-#include "serve/batch.h"
 #include "serve/engine.h"
 #include "serve/model_store.h"
 
@@ -192,7 +192,7 @@ TEST(PredictionEngineTest, ForestBatchReturnsVoteShares) {
   options.num_workers = 2;
   PredictionEngine engine(store->get(), options);
 
-  auto outcome = engine.Predict(Batch::FromDataset(data, 0, 64));
+  auto outcome = engine.Predict(TakePrefix(data, 64).block());
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->num_classes, data.num_classes());
   ASSERT_EQ(outcome->labels.size(), 64u);
@@ -232,7 +232,7 @@ TEST(PredictionEngineTest, ForestBatchHeldAcrossReloadHasNoTornVotes) {
 
   Result<PredictOutcome> held = Status::Internal("not run");
   std::thread caller(
-      [&] { held = engine.Predict(Batch::FromDataset(data, 0, 128)); });
+      [&] { held = engine.Predict(TakePrefix(data, 128).block()); });
   while (!batch_started.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -255,7 +255,7 @@ TEST(PredictionEngineTest, ForestBatchHeldAcrossReloadHasNoTornVotes) {
   }
 
   // A fresh batch sees the new forest: vote shares in fifteenths.
-  auto after = engine.Predict(Batch::FromDataset(data, 0, 16));
+  auto after = engine.Predict(TakePrefix(data, 16).block());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->model_epoch, 2);
   for (const double p : after->probs) {

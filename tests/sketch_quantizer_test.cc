@@ -26,6 +26,14 @@ TupleValues Tuple(float x, int32_t color, float y) {
   return v;
 }
 
+/// Feeds `values` to `q` as the one tuple of a block.
+void Observe(SketchQuantizer* q, const TupleValues& values) {
+  ColumnBlock block(static_cast<int>(values.size()));
+  block.Resize(1);
+  block.SetRow(0, values);
+  q->Observe(block, 0);
+}
+
 TEST(SketchQuantizerTest, InitValidatesOptions) {
   SketchQuantizer q;
   SketchQuantizer::Options bad;
@@ -49,7 +57,7 @@ TEST(SketchQuantizerTest, FreezeRequiresInitAndIsIdempotent) {
   SketchQuantizer q;
   EXPECT_FALSE(q.Freeze().ok());
   ASSERT_TRUE(q.Init(MixedSchema(), SketchQuantizer::Options()).ok());
-  q.Observe(Tuple(1.0f, 0, 2.0f));
+  Observe(&q, Tuple(1.0f, 0, 2.0f));
   ASSERT_TRUE(q.Freeze().ok());
   const Quantizer& layout = q.quantizer();
   EXPECT_TRUE(q.frozen());
@@ -65,7 +73,7 @@ TEST(SketchQuantizerTest, BinInvariantHoldsOnEveryCut) {
   opts.reservoir_size = 64;
   ASSERT_TRUE(q.Init(MixedSchema(), opts).ok());
   for (int i = 0; i < 1000; ++i) {
-    q.Observe(Tuple(static_cast<float>(i % 97), i % 3,
+    Observe(&q, Tuple(static_cast<float>(i % 97), i % 3,
                     static_cast<float>((i * 7) % 31)));
   }
   ASSERT_TRUE(q.Freeze().ok());
@@ -91,7 +99,7 @@ TEST(SketchQuantizerTest, BinInvariantHoldsOnEveryCut) {
 TEST(SketchQuantizerTest, CategoricalBinsAreCodes) {
   SketchQuantizer q;
   ASSERT_TRUE(q.Init(MixedSchema(), SketchQuantizer::Options()).ok());
-  q.Observe(Tuple(0.0f, 2, 0.0f));
+  Observe(&q, Tuple(0.0f, 2, 0.0f));
   ASSERT_TRUE(q.Freeze().ok());
   const Quantizer& layout = q.quantizer();
   EXPECT_TRUE(layout.categorical(1));
@@ -107,7 +115,7 @@ TEST(SketchQuantizerTest, OffsetsTileTheFlatBinSpace) {
   SketchQuantizer q;
   ASSERT_TRUE(q.Init(MixedSchema(), SketchQuantizer::Options()).ok());
   for (int i = 0; i < 500; ++i) {
-    q.Observe(Tuple(static_cast<float>(i), i % 3, static_cast<float>(-i)));
+    Observe(&q, Tuple(static_cast<float>(i), i % 3, static_cast<float>(-i)));
   }
   ASSERT_TRUE(q.Freeze().ok());
   const Quantizer& layout = q.quantizer();
@@ -133,7 +141,7 @@ TEST(SketchQuantizerTest, QuantileCutsTrackTheDistribution) {
   for (int i = 0; i < 4096; ++i) {
     TupleValues v(1);
     v[0].f = static_cast<float>(i);
-    q.Observe(v);
+    Observe(&q, v);
   }
   ASSERT_TRUE(q.Freeze().ok());
   const Quantizer& layout = q.quantizer();
@@ -164,7 +172,7 @@ TEST(SketchQuantizerTest, FreezeReleasesReservoirMemory) {
   opts.reservoir_size = 4096;
   ASSERT_TRUE(q.Init(MixedSchema(), opts).ok());
   for (int i = 0; i < 10000; ++i) {
-    q.Observe(Tuple(static_cast<float>(i), 0, static_cast<float>(i * 2)));
+    Observe(&q, Tuple(static_cast<float>(i), 0, static_cast<float>(i * 2)));
   }
   const uint64_t before = q.MemoryBytes();
   ASSERT_TRUE(q.Freeze().ok());

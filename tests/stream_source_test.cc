@@ -10,6 +10,7 @@
 
 #include "data/csv.h"
 #include "data/synthetic.h"
+#include "dataset_equal.h"
 #include "stream/shard_io.h"
 
 namespace smptree {
@@ -24,18 +25,18 @@ SyntheticConfig SmallConfig(int64_t tuples) {
   return cfg;
 }
 
-/// Drains a source into one flat (tuples, labels) pair.
-void Drain(StreamSource* source, int64_t batch_size,
-           std::vector<TupleValues>* tuples, std::vector<ClassLabel>* labels) {
+/// Drains a source, concatenating its batches into one dataset.
+Dataset Drain(StreamSource* source, int64_t batch_size) {
+  Dataset all(source->schema());
   StreamBatch batch;
   while (true) {
     auto n = source->NextBatch(batch_size, &batch);
-    ASSERT_TRUE(n.ok()) << n.status().ToString();
-    if (*n == 0) break;
-    ASSERT_EQ(*n, batch.size());
-    tuples->insert(tuples->end(), batch.tuples.begin(), batch.tuples.end());
-    labels->insert(labels->end(), batch.labels.begin(), batch.labels.end());
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    if (!n.ok() || *n == 0) break;
+    EXPECT_EQ(*n, batch.num_tuples());
+    all.AppendRange(batch, 0, batch.num_tuples());
   }
+  return all;
 }
 
 TEST(SyntheticStreamSourceTest, MatchesGenerateSyntheticExactly) {
@@ -44,32 +45,38 @@ TEST(SyntheticStreamSourceTest, MatchesGenerateSyntheticExactly) {
   ASSERT_TRUE(batch_data.ok());
 
   SyntheticStreamSource source(cfg);
-  std::vector<TupleValues> tuples;
-  std::vector<ClassLabel> labels;
-  Drain(&source, 64, &tuples, &labels);
+  ExpectSameTuples(Drain(&source, 64), *batch_data);
+}
 
-  ASSERT_EQ(static_cast<int64_t>(tuples.size()), batch_data->num_tuples());
-  for (int64_t t = 0; t < batch_data->num_tuples(); ++t) {
-    EXPECT_EQ(labels[static_cast<size_t>(t)], batch_data->label(t));
-    const TupleValues expect = batch_data->Tuple(t);
-    const TupleValues& got = tuples[static_cast<size_t>(t)];
-    ASSERT_EQ(got.size(), expect.size());
-    for (size_t a = 0; a < expect.size(); ++a) {
-      if (batch_data->schema().attr(static_cast<int>(a)).is_categorical()) {
-        EXPECT_EQ(got[a].cat, expect[a].cat) << "tuple " << t << " attr " << a;
-      } else {
-        EXPECT_EQ(got[a].f, expect[a].f) << "tuple " << t << " attr " << a;
-      }
-    }
+TEST(SyntheticStreamSourceTest, AnyBatchSizeConcatenatesToGenerateSynthetic) {
+  const SyntheticConfig cfg = SmallConfig(2500);
+  auto whole = GenerateSynthetic(cfg);
+  ASSERT_TRUE(whole.ok());
+  for (const int64_t batch_size : {1, 7, 1000}) {
+    SCOPED_TRACE(batch_size);
+    SyntheticStreamSource source(cfg);
+    ExpectSameTuples(Drain(&source, batch_size), *whole);
+  }
+}
+
+TEST(SyntheticStreamSourceTest, ReusedBatchKeepsItsCapacity) {
+  SyntheticStreamSource source(SmallConfig(0));
+  StreamBatch batch;
+  ASSERT_TRUE(source.NextBatch(1000, &batch).ok());
+  const AttrValue* storage = batch.column(0).data();
+  const int64_t capacity = batch.block().capacity();
+  for (const int64_t size : {1000, 10, 999, 1000}) {
+    auto n = source.NextBatch(size, &batch);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(*n, size);
+    EXPECT_EQ(batch.column(0).data(), storage);
+    EXPECT_EQ(batch.block().capacity(), capacity);
   }
 }
 
 TEST(SyntheticStreamSourceTest, HonorsLimitAcrossUnevenBatches) {
   SyntheticStreamSource source(SmallConfig(100));
-  std::vector<TupleValues> tuples;
-  std::vector<ClassLabel> labels;
-  Drain(&source, 33, &tuples, &labels);  // 33 + 33 + 33 + 1
-  EXPECT_EQ(tuples.size(), 100u);
+  EXPECT_EQ(Drain(&source, 33).num_tuples(), 100);  // 33 + 33 + 33 + 1
   // Exhausted stays exhausted.
   StreamBatch batch;
   auto n = source.NextBatch(10, &batch);
@@ -165,6 +172,45 @@ TEST(BinaryShardTest, RejectsNonFiniteContinuousValues) {
   }
 }
 
+TEST(BinaryShardTest, RejectsOutOfRangeCodesAndLabels) {
+  auto data = GenerateSynthetic(SmallConfig(20));
+  ASSERT_TRUE(data.ok());
+  constexpr int kElevel = 3;  // categorical, cardinality 5
+  ASSERT_EQ(data->schema().attr(kElevel).cardinality, 5);
+  const std::string path = testing::TempDir() + "/badcode.shard";
+  const std::streamoff code_at =
+      kColumnsOffset + (kElevel * 20 + 7) * sizeof(AttrValue);
+  const std::streamoff label_at =
+      kColumnsOffset + 9 * 20 * sizeof(AttrValue) + 11 * sizeof(ClassLabel);
+  const int32_t bad_code = 250;
+  const ClassLabel bad_label = 9;
+  for (const bool patch_label : {false, true}) {
+    ASSERT_TRUE(WriteBinaryShard(*data, path).ok());
+    if (patch_label) {
+      PatchFile(path, label_at, &bad_label, sizeof(bad_label));
+    } else {
+      PatchFile(path, code_at, &bad_code, sizeof(bad_code));
+    }
+    auto loaded = ReadBinaryShard(data->schema(), path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(path), std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(patch_label ? "tuple 11"
+                                                         : "tuple 7"),
+              std::string::npos)
+        << loaded.status().ToString();
+
+    // Streamed, the bad shard surfaces as a Status, never as tuples.
+    auto source = DiskStreamSource::Open(data->schema(), {path});
+    ASSERT_TRUE(source.ok());
+    StreamBatch batch;
+    auto n = (*source)->NextBatch(64, &batch);
+    ASSERT_FALSE(n.ok());
+    EXPECT_TRUE(n.status().IsCorruption()) << n.status().ToString();
+  }
+}
+
 TEST(DiskStreamSourceTest, DeliversShardsInOrderMixedFormats) {
   // Three shards -- binary, csv, binary -- must come back as one stream in
   // exactly the order given, across both formats.
@@ -191,20 +237,37 @@ TEST(DiskStreamSourceTest, DeliversShardsInOrderMixedFormats) {
 
   auto source = DiskStreamSource::Open(schema, paths);
   ASSERT_TRUE(source.ok()) << source.status().ToString();
-  std::vector<TupleValues> tuples;
-  std::vector<ClassLabel> labels;
   // A batch size that straddles shard boundaries exercises the refill path.
-  Drain(source->get(), 70, &tuples, &labels);
+  const Dataset streamed = Drain(source->get(), 70);
 
-  ASSERT_EQ(static_cast<int64_t>(tuples.size()), all->num_tuples());
+  ASSERT_EQ(streamed.num_tuples(), all->num_tuples());
   for (int64_t t = 0; t < all->num_tuples(); ++t) {
-    EXPECT_EQ(labels[static_cast<size_t>(t)], all->label(t)) << "tuple " << t;
+    EXPECT_EQ(streamed.label(t), all->label(t)) << "tuple " << t;
     for (int a = 0; a < schema.num_attrs(); ++a) {
       if (schema.attr(a).is_categorical()) {
-        EXPECT_EQ(tuples[static_cast<size_t>(t)][static_cast<size_t>(a)].cat,
-                  all->column(a)[t].cat);
+        EXPECT_EQ(streamed.column(a)[t].cat, all->column(a)[t].cat);
       }
     }
+  }
+}
+
+TEST(DiskStreamSourceTest, BatchesMatchAcrossShardBoundaries) {
+  auto all = GenerateSynthetic(SmallConfig(1000));
+  ASSERT_TRUE(all.ok());
+  std::vector<std::string> paths;
+  const int64_t cuts[] = {0, 300, 650, 1000};
+  for (int s = 0; s < 3; ++s) {
+    Dataset part(all->schema());
+    part.AppendRange(*all, cuts[s], cuts[s + 1]);
+    paths.push_back(testing::TempDir() + "/boundary" + std::to_string(s) +
+                    ".shard");
+    ASSERT_TRUE(WriteBinaryShard(part, paths.back()).ok());
+  }
+  for (const int64_t batch_size : {1, 64, 333, 1000}) {
+    SCOPED_TRACE(batch_size);
+    auto source = DiskStreamSource::Open(all->schema(), paths);
+    ASSERT_TRUE(source.ok());
+    ExpectSameTuples(Drain(source->get(), batch_size), *all);
   }
 }
 

@@ -60,7 +60,10 @@ For the parallel suite the output groups runs by (function, algorithm) and
 derives, per thread count, the build-time speedup relative to that
 algorithm's threads=1 run plus the wait share
 (wait_seconds / (threads * build_seconds)). A missing threads=1 baseline for
-any series is an error: speedups would be meaningless.
+any series is an error: speedups would be meaningless. build_seconds is the
+median of the bench's repeated builds; build_seconds_iqr is the spread of its
+quartiles, and speedup_iqr is the baseline median over the upper and lower
+quartiles, the speedup range a quartile build would read.
 """
 
 import argparse
@@ -161,12 +164,18 @@ def convert_parallel(raw, output):
         for threads in sorted(by_threads):
             run = by_threads[threads]
             build = run["build_seconds"]
+            q1 = run.get("build_seconds_q1", build)
+            q3 = run.get("build_seconds_q3", build)
             wait = run.get("wait_seconds", 0.0)
             points.append({
                 "threads": threads,
                 "build_seconds": round(build, 6),
+                "build_seconds_iqr": round(q3 - q1, 6),
                 "speedup": round(base["build_seconds"] / build, 3)
                 if build else None,
+                "speedup_iqr": [round(base["build_seconds"] / q3, 3),
+                                round(base["build_seconds"] / q1, 3)]
+                if q1 else None,
                 "wait_share": round(wait / (threads * build), 4)
                 if build else None,
                 "e_seconds": round(run.get("e_seconds", 0.0), 6),

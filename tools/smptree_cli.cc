@@ -37,7 +37,6 @@
 
 #include "core/classifier.h"
 #include "core/dot_export.h"
-#include "serve/batch.h"
 #include "serve/model_store.h"
 #include "core/metrics.h"
 #include "core/sql_export.h"
@@ -296,7 +295,7 @@ Result<std::vector<ClassLabel>> FlatScoreDataset(
     int* num_trees) {
   SMPTREE_ASSIGN_OR_RETURN(bool is_forest,
                            ModelStore::IsForestFile(model_path));
-  const Batch batch = Batch::FromDataset(data, 0, data.num_tuples());
+  const ColumnBlock& batch = data.block();
   std::vector<ClassLabel> labels(static_cast<size_t>(data.num_tuples()));
   BatchScorer scorer;
   if (is_forest) {
