@@ -3,9 +3,10 @@
 // and train the batch binned engine on the identical materialized data, then
 // compare held-out accuracy -- the streaming tree must land within 2% of the
 // batch tree on most functions while touching each tuple once in bounded
-// memory. Reports ingest throughput, an accuracy-vs-tuples curve from live
-// mid-stream checkpoints, the builder's bounded state (sketch + active leaf
-// histograms), and process peak RSS.
+// memory. Reports ingest throughput as wall time and as the thread's CPU
+// time (the stream alone, and Ingest alone), an accuracy-vs-tuples curve
+// from live mid-stream checkpoints, the builder's bounded state (sketch +
+// active leaf histograms), and process peak RSS.
 //
 //   stream_throughput [--quick] [--tuples N] [--test-tuples N]
 //                     [--max-bins B] [--functions 1,5,7] [--out runs.json]
@@ -15,6 +16,7 @@
 // checked-in BENCH_stream.json.
 
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -52,6 +54,8 @@ struct Checkpoint {
 struct Run {
   int function = 0;
   double ingest_seconds = 0;  ///< stream ingest only (checkpoints excluded)
+  double stream_cpu_seconds = 0;  ///< thread CPU over the same span
+  double ingest_cpu_seconds = 0;  ///< thread CPU in builder.Ingest alone
   double stream_accuracy = 0;
   double batch_accuracy = 0;
   int64_t stream_nodes = 0;
@@ -85,6 +89,16 @@ Dataset MakeAgrawal(int function, int64_t tuples, uint64_t seed) {
     std::exit(1);
   }
   return std::move(*data);
+}
+
+/// CPU time the calling thread has used (CLOCK_THREAD_CPUTIME_ID), in
+/// seconds: unlike wall time, it leaves out time the thread waited for a
+/// core on a shared host.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) / 1e9;
 }
 
 /// Peak resident set of this process so far, in kilobytes.
@@ -125,13 +139,18 @@ void RunStream(const Config& config, int function, const Dataset& test,
     // Only generator + routing time counts; the mid-stream checkpoint
     // scoring below runs off the clock.
     Timer timer;
+    const double cpu_start = ThreadCpuSeconds();
     auto n = source.NextBatch(4096, &batch);
+    const double ingest_start = ThreadCpuSeconds();
     if (!n.ok() || (*n > 0 && !(s = builder.Ingest(batch)).ok())) {
       std::fprintf(stderr, "stream failed: %s\n",
                    (n.ok() ? s : n.status()).ToString().c_str());
       std::exit(1);
     }
+    const double cpu_end = ThreadCpuSeconds();
     run->ingest_seconds += timer.Seconds();
+    run->stream_cpu_seconds += cpu_end - cpu_start;
+    run->ingest_cpu_seconds += cpu_end - ingest_start;
     if (*n == 0) break;
     ingested += *n;
     while (next_mark < marks.size() && ingested >= marks[next_mark]) {
@@ -201,10 +220,17 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         r.ingest_seconds > 0
             ? static_cast<double>(config.tuples) / r.ingest_seconds
             : 0;
+    const auto per_tuple_ns = [&config](double seconds) {
+      return config.tuples > 0
+                 ? seconds * 1e9 / static_cast<double>(config.tuples)
+                 : 0;
+    };
     out += StringPrintf(
         "%s\n  {\"function\": %d, \"tuples\": %lld,\n"
         "   \"stream_tuples_per_second\": %.0f, "
-        "\"stream_ns_per_tuple\": %.1f,\n"
+        "\"stream_ns_per_tuple\": %.1f, "
+        "\"stream_cpu_ns_per_tuple\": %.1f, "
+        "\"ingest_cpu_ns_per_tuple\": %.1f,\n"
         "   \"stream_test_accuracy\": %.6f, \"batch_test_accuracy\": %.6f, "
         "\"accuracy_delta\": %.6f, \"within_2pct\": %s,\n"
         "   \"stream_nodes\": %lld, \"batch_nodes\": %lld, "
@@ -212,10 +238,8 @@ std::string RunsToJson(const Config& config, const std::vector<Run>& runs,
         "\"stream_state_bytes\": %llu,\n"
         "   \"accuracy_curve\": [%s]}",
         i == 0 ? "" : ",", r.function, static_cast<long long>(config.tuples),
-        tuples_per_second,
-        config.tuples > 0
-            ? r.ingest_seconds * 1e9 / static_cast<double>(config.tuples)
-            : 0,
+        tuples_per_second, per_tuple_ns(r.ingest_seconds),
+        per_tuple_ns(r.stream_cpu_seconds), per_tuple_ns(r.ingest_cpu_seconds),
         r.stream_accuracy, r.batch_accuracy,
         r.stream_accuracy - r.batch_accuracy,
         r.stream_accuracy >= r.batch_accuracy - 0.02 ? "true" : "false",
@@ -277,8 +301,9 @@ int Main(int argc, char** argv) {
   PrintBanner("stream", "Hoeffding streaming builder vs batch binned engine "
                         "(one pass, bounded memory)");
 
-  TablePrinter table({"F", "ktuples/s", "stream acc", "batch acc", "delta",
-                      "nodes s/b", "splits", "state KB"});
+  TablePrinter table({"F", "ktuples/s", "ingest CPU s", "stream acc",
+                      "batch acc", "delta", "nodes s/b", "splits",
+                      "state KB"});
   std::vector<Run> runs;
   uint64_t stream_only_rss_kb = 0;
   int within = 0;
@@ -301,6 +326,7 @@ int Main(int argc, char** argv) {
                          ? static_cast<double>(config.tuples) /
                                run.ingest_seconds / 1000.0
                          : 0),
+         Fmt("%.3f", run.ingest_cpu_seconds),
          Fmt("%.4f", run.stream_accuracy), Fmt("%.4f", run.batch_accuracy),
          Fmt("%+.4f", run.stream_accuracy - run.batch_accuracy),
          Fmt("%lld/%lld", static_cast<long long>(run.stream_nodes),

@@ -83,12 +83,18 @@ uint64_t EvaluateBinnedAttr(const Quantizer& quantizer,
   int best_bin = -1;
   for (int b = 0; b + 1 < nbins; ++b) {
     const std::span<const int64_t> row = bins.row(off + b);
+    bool moved = false;
     for (int c = 0; c < num_classes; ++c) {
       if (row[c] == 0) continue;
       below.Add(static_cast<ClassLabel>(c), row[c]);
       above.Remove(static_cast<ClassLabel>(c), row[c]);
       nl += row[c];
+      moved = true;
     }
+    // An empty row leaves the partition of boundary b-1, already offered
+    // (or skipped while nl == 0): same counts, same impurity bits, higher
+    // threshold, so BetterThan's lower-threshold tie rule never lets it win.
+    if (!moved) continue;
     if (nl == 0) continue;      // no records left of this cut yet
     if (nl == n_total) break;   // all records left: no proper split remains
     SplitCandidate candidate;

@@ -83,7 +83,9 @@ class LeafHistogram {
 /// `hist` is the leaf's class distribution and `n_total` its total. Writes
 /// the best candidate to `out` (invalid if none) and, for a continuous
 /// winner, its boundary index to `out_bin` (left iff bin <= *out_bin; -1
-/// otherwise). Returns the bins examined (the bins_scanned unit).
+/// otherwise). Returns the bins examined (the bins_scanned unit). A
+/// boundary after an empty bin row counts as examined but is not scored:
+/// it repeats the boundary before it and would lose the tie to it.
 uint64_t EvaluateBinnedAttr(const Quantizer& quantizer,
                             const LeafHistogram& bins,
                             const ClassHistogram& hist, int64_t n_total,

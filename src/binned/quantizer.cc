@@ -113,32 +113,14 @@ Status BinMatrix::Materialize(const Dataset& data, const Quantizer& quantizer,
   num_attrs_ = data.num_attrs();
   codes_.resize(static_cast<size_t>(num_attrs_) *
                 static_cast<size_t>(num_tuples_));
-  // One status per column: each task writes only its own slot and column.
-  std::vector<Status> errors(static_cast<size_t>(num_attrs_));
   ParallelFor(num_threads, num_attrs_, [&](int64_t task, int) {
     const int a = static_cast<int>(task);
     const std::span<const AttrValue> column = data.column(a);
     uint8_t* out = codes_.data() + static_cast<size_t>(a) * num_tuples_;
-    if (!quantizer.categorical(a)) {
-      for (int64_t t = 0; t < num_tuples_; ++t) {
-        out[t] = quantizer.BinOf(a, column[static_cast<size_t>(t)]);
-      }
-      return;
-    }
     for (int64_t t = 0; t < num_tuples_; ++t) {
-      const int32_t code = column[static_cast<size_t>(t)].cat;
-      if (code < 0 || code >= quantizer.num_bins(a)) {
-        errors[static_cast<size_t>(a)] = Status::Corruption(StringPrintf(
-            "categorical code %d of attribute %d outside [0,%d)", code, a,
-            quantizer.num_bins(a)));
-        return;
-      }
-      out[t] = static_cast<uint8_t>(code);
+      out[t] = quantizer.BinOf(a, column[static_cast<size_t>(t)]);
     }
   });
-  for (Status& error : errors) {
-    if (!error.ok()) return std::move(error);
-  }
   return Status::OK();
 }
 

@@ -24,7 +24,7 @@
 #ifndef SMPTREE_BINNED_QUANTIZER_H_
 #define SMPTREE_BINNED_QUANTIZER_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -79,12 +79,27 @@ class Quantizer {
   /// Sum of num_bins over all attributes (the flat histogram length).
   int total_bins() const { return total_bins_; }
 
-  /// Maps one value into its bin under the invariant above.
+  /// Maps one value into its bin under the invariant above: the index
+  /// std::upper_bound returns over the cuts, for every float (a NaN
+  /// compares below no cut and lands past the last one). A categorical
+  /// code is its bin, unchecked: callers pass validated data.
+  ///
+  /// The search halves a fixed window per step and picks the next base
+  /// with a select rather than a branch, so the steps depend only on the
+  /// cut count and every lookup costs the same whatever the value.
   uint8_t BinOf(int attr, AttrValue v) const {
     const AttrBins& a = attrs_[attr];
     if (a.categorical) return static_cast<uint8_t>(v.cat);
-    return static_cast<uint8_t>(
-        std::upper_bound(a.cuts.begin(), a.cuts.end(), v.f) - a.cuts.begin());
+    size_t n = a.cuts.size();
+    if (n == 0) return 0;
+    const float* const cuts = a.cuts.data();
+    const float* base = cuts;
+    while (n > 1) {
+      const size_t half = n / 2;
+      base = !(v.f < base[half]) ? base + half : base;
+      n -= half;
+    }
+    return static_cast<uint8_t>((base - cuts) + !(v.f < *base));
   }
 
  private:
@@ -106,8 +121,10 @@ class Quantizer {
 class BinMatrix {
  public:
   /// Maps every value of `data` through `quantizer`, one whole column per
-  /// task on up to `num_threads` threads. Once built the matrix is
-  /// read-only, so any number of trees may scan it concurrently.
+  /// task on up to `num_threads` threads. `data` has passed
+  /// Dataset::Validate (a categorical code is copied as its bin). Once
+  /// built the matrix is read-only, so any number of trees may scan it
+  /// concurrently.
   Status Materialize(const Dataset& data, const Quantizer& quantizer,
                      int num_threads = 1);
 

@@ -60,14 +60,12 @@ void FoldCounters(const BuildCounters& counters, TrainStats* stats) {
           std::memory_order_relaxed)) / 1e9;
 }
 
-}  // namespace
-
-Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
-                                          const Quantizer& quantizer,
-                                          const BinMatrix& bins,
-                                          std::span<const int32_t> weights,
-                                          const ClassifierOptions& options) {
-  SMPTREE_RETURN_IF_ERROR(options.build.Validate());
+// TrainBinnedClassifier after its checks: `data` has passed Validate.
+Result<TrainResult> TrainBinned(const Dataset& data,
+                                const Quantizer& quantizer,
+                                const BinMatrix& bins,
+                                std::span<const int32_t> weights,
+                                const ClassifierOptions& options) {
   TrainResult result;
   result.tree = std::make_unique<DecisionTree>(data.schema());
   BuildCounters counters;
@@ -95,10 +93,24 @@ Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
   return result;
 }
 
+}  // namespace
+
+Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
+                                          const Quantizer& quantizer,
+                                          const BinMatrix& bins,
+                                          std::span<const int32_t> weights,
+                                          const ClassifierOptions& options) {
+  SMPTREE_RETURN_IF_ERROR(options.build.Validate());
+  SMPTREE_RETURN_IF_ERROR(data.schema().Validate());
+  SMPTREE_RETURN_IF_ERROR(data.Validate());
+  return TrainBinned(data, quantizer, bins, weights, options);
+}
+
 Result<TrainResult> TrainClassifier(const Dataset& data,
                                     const ClassifierOptions& options) {
   SMPTREE_RETURN_IF_ERROR(options.build.Validate());
   SMPTREE_RETURN_IF_ERROR(data.schema().Validate());
+  SMPTREE_RETURN_IF_ERROR(data.Validate());
   if (data.num_tuples() == 0) {
     return Status::InvalidArgument("empty training set");
   }
@@ -118,7 +130,7 @@ Result<TrainResult> TrainClassifier(const Dataset& data,
     const double setup_seconds = setup_timer.Seconds();
     SMPTREE_ASSIGN_OR_RETURN(
         TrainResult result,
-        TrainBinnedClassifier(data, quantizer, bins, {}, options));
+        TrainBinned(data, quantizer, bins, {}, options));
     result.stats.sort_seconds = sort_seconds;
     result.stats.setup_seconds = setup_seconds;
     result.stats.total_seconds += sort_seconds + setup_seconds;

@@ -81,7 +81,8 @@ struct TrainResult {
   TrainStats stats;
 };
 
-/// Trains a classifier on `data`. Validates options, runs setup + sort +
+/// Trains a classifier on `data`. Validates options and data (a bad code,
+/// label or non-finite value is a Status, not a model), runs setup + sort +
 /// the selected build algorithm + optional pruning.
 Result<TrainResult> TrainClassifier(const Dataset& data,
                                     const ClassifierOptions& options);
@@ -91,6 +92,7 @@ Result<TrainResult> TrainClassifier(const Dataset& data,
 /// multiplicity (empty: every row once; see BuildTreeBinned). A forest
 /// quantizes its training set once and trains every member here on its
 /// bootstrap draw counts. setup/sort seconds are 0: the caller did them.
+/// Validates options and `data` as TrainClassifier does.
 Result<TrainResult> TrainBinnedClassifier(const Dataset& data,
                                           const Quantizer& quantizer,
                                           const BinMatrix& bins,

@@ -1,5 +1,7 @@
 #include "data/dataset.h"
 
+#include <bit>
+
 #include "util/string_util.h"
 
 namespace smptree {
@@ -45,9 +47,23 @@ Status NonFiniteValueError(const AttrInfo& info, int64_t row, float value) {
       info.name.c_str()));
 }
 
-Status Dataset::Validate() const {
+Status Dataset::Validate(const Schema& schema) const {
+  // Each column is first scanned branch-free for any fault; only a faulty
+  // column is scanned again for the first bad value to name.
+  constexpr uint32_t kExponent = 0x7f800000u;  // all ones: inf or NaN
   for (int a = 0; a < num_attrs(); ++a) {
-    const AttrInfo& info = schema_.attr(a);
+    const AttrInfo& info = schema.attr(a);
+    const std::span<const AttrValue> col = column(a);
+    const uint32_t cardinality = static_cast<uint32_t>(info.cardinality);
+    uint32_t bad = 0;
+    if (info.is_categorical()) {
+      for (AttrValue v : col) bad |= std::bit_cast<uint32_t>(v) >= cardinality;
+    } else {
+      for (AttrValue v : col) {
+        bad |= (std::bit_cast<uint32_t>(v) & kExponent) == kExponent;
+      }
+    }
+    if (bad == 0) continue;
     for (int64_t t = 0; t < num_tuples(); ++t) {
       const AttrValue v = value(t, a);
       if (!info.is_categorical()) {
@@ -60,11 +76,15 @@ Status Dataset::Validate() const {
       }
     }
   }
+  const int num_classes = schema.num_classes();
+  uint32_t bad = 0;
+  for (ClassLabel label : labels_) bad |= label >= num_classes;
+  if (bad == 0) return Status::OK();
   for (int64_t t = 0; t < num_tuples(); ++t) {
-    if (labels_[t] >= num_classes()) {
+    if (labels_[t] >= num_classes) {
       return Status::Corruption(
           StringPrintf("tuple %lld: label %d outside %d classes",
-                       static_cast<long long>(t), labels_[t], num_classes()));
+                       static_cast<long long>(t), labels_[t], num_classes));
     }
   }
   return Status::OK();

@@ -176,8 +176,12 @@ class Dataset : public ColumnBlock {
 
   /// Fails unless every continuous value is finite (InvalidArgument), and
   /// every categorical code is within its cardinality and every label
-  /// within the class alphabet (Corruption).
-  Status Validate() const;
+  /// within the class alphabet (Corruption). Every trainer calls it on the
+  /// data it is handed before it indexes anything by a code or a label.
+  Status Validate() const { return Validate(schema_); }
+  /// The same checks against `schema` (num_attrs() attributes), the one a
+  /// trainer was built with.
+  Status Validate(const Schema& schema) const;
 
  private:
   Schema schema_;

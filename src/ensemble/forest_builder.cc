@@ -123,6 +123,7 @@ Result<ForestTrainResult> TrainForest(const Dataset& data,
                                       const ForestOptions& options) {
   SMPTREE_RETURN_IF_ERROR(options.Validate());
   SMPTREE_RETURN_IF_ERROR(data.schema().Validate());
+  SMPTREE_RETURN_IF_ERROR(data.Validate());
   if (data.num_tuples() < 1) {
     return Status::InvalidArgument("cannot train a forest on an empty dataset");
   }

@@ -146,8 +146,8 @@ struct ForestTrainResult {
   ForestTrainStats stats;
 };
 
-/// Trains a bagged forest on `data` (validates options, plans the thread
-/// split, trains members, folds OOB + stats).
+/// Trains a bagged forest on `data` (validates options and data, plans the
+/// thread split, trains members, folds OOB + stats).
 Result<ForestTrainResult> TrainForest(const Dataset& data,
                                       const ForestOptions& options);
 

@@ -54,6 +54,7 @@ Status SliqOptions::Validate() const {
 Result<SliqResult> TrainSliq(const Dataset& data, const SliqOptions& options) {
   SMPTREE_RETURN_IF_ERROR(options.Validate());
   SMPTREE_RETURN_IF_ERROR(data.schema().Validate());
+  SMPTREE_RETURN_IF_ERROR(data.Validate());
   if (data.num_tuples() == 0) {
     return Status::InvalidArgument("empty training set");
   }

@@ -64,7 +64,8 @@ struct SliqResult {
   SliqStats stats;
 };
 
-/// Trains a SLIQ classifier on `data` (fully in-memory).
+/// Trains a SLIQ classifier on `data` (fully in-memory) after
+/// Dataset::Validate accepts it.
 Result<SliqResult> TrainSliq(const Dataset& data, const SliqOptions& options);
 
 }  // namespace smptree

@@ -51,13 +51,11 @@ Status HoeffdingTreeBuilder::Ingest(const StreamBatch& batch) {
         "batch has %d attrs, schema has %d attrs", batch.num_attrs(),
         schema_.num_attrs()));
   }
+  // The whole batch is checked before any tuple changes state.
+  SMPTREE_RETURN_IF_ERROR(batch.Validate(schema_));
   const ColumnBlock& block = batch.block();
   for (int64_t t = 0; t < batch.num_tuples(); ++t) {
     const ClassLabel label = batch.label(t);
-    if (label >= schema_.num_classes()) {
-      return Status::InvalidArgument(
-          StringPrintf("label %d out of range", int{label}));
-    }
     if (!sketch_.frozen()) {
       sketch_.Observe(block, t);
       warmup_.AppendRange(batch, t, t + 1);

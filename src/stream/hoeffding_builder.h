@@ -102,6 +102,8 @@ class HoeffdingTreeBuilder {
 
   /// Routes every tuple of `batch` through the tree (or buffers it during
   /// warmup), splitting leaves and hot-publishing snapshots as configured.
+  /// A batch that fails Dataset::Validate against the builder's schema is
+  /// rejected whole, before any tuple changes the tree or a snapshot.
   Status Ingest(const StreamBatch& batch);
 
   /// Freezes the sketch if the stream ended inside warmup (replaying the

@@ -11,8 +11,6 @@ uint64_t SplitMix64(uint64_t* state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Random::Random(uint64_t seed) {
@@ -20,38 +18,9 @@ Random::Random(uint64_t seed) {
   for (auto& lane : s_) lane = SplitMix64(&sm);
 }
 
-uint64_t Random::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-uint64_t Random::Uniform(uint64_t n) {
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t threshold = -n % n;
-  for (;;) {
-    const uint64_t r = Next();
-    if (r >= threshold) return r % n;
-  }
-}
-
 int64_t Random::UniformRange(int64_t lo, int64_t hi) {
   return lo + static_cast<int64_t>(
                   Uniform(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double Random::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-double Random::UniformDouble(double lo, double hi) {
-  return lo + (hi - lo) * NextDouble();
 }
 
 bool Random::Bernoulli(double p) {

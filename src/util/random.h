@@ -8,6 +8,7 @@
 #ifndef SMPTREE_UTIL_RANDOM_H_
 #define SMPTREE_UTIL_RANDOM_H_
 
+#include <bit>
 #include <cstdint>
 
 namespace smptree {
@@ -19,19 +20,40 @@ class Random {
   explicit Random(uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Uniform 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, n) without modulo bias (n > 0).
-  uint64_t Uniform(uint64_t n);
+  uint64_t Uniform(uint64_t n) {
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t threshold = -n % n;
+    for (;;) {
+      const uint64_t r = Next();
+      if (r >= threshold) return r % n;
+    }
+  }
 
   /// Uniform integer in the closed range [lo, hi].
   int64_t UniformRange(int64_t lo, int64_t hi);
 
   /// Uniform double in [0, 1).
-  double NextDouble();
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double UniformDouble(double lo, double hi);
+  double UniformDouble(double lo, double hi) {
+    return lo + (hi - lo) * NextDouble();
+  }
 
   /// True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "core/metrics.h"
 #include "core/tree_io.h"
 #include "data/synthetic.h"
+#include "util/random.h"
 
 namespace smptree {
 namespace {
@@ -267,6 +270,168 @@ TEST(QuantizerTest, CategoricalCardinalityOverBudgetIsRejected) {
   ASSERT_TRUE(data.Append(v, 0).ok());
   Quantizer q;
   EXPECT_FALSE(q.Build(data, 256).ok());
+}
+
+/// `count` strictly ascending cuts drawn from random bit patterns (NaNs
+/// redrawn, -0 and +0 one value), so they span signs, denormals, the
+/// infinities and the lowest float.
+std::vector<float> RandomCuts(Random* rng, int count) {
+  std::vector<float> cuts;
+  while (static_cast<int>(cuts.size()) < count) {
+    const float f = std::bit_cast<float>(static_cast<uint32_t>(rng->Next()));
+    if (std::isnan(f)) continue;
+    cuts.push_back(f);
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  }
+  return cuts;
+}
+
+TEST(QuantizerTest, BinOfIsUpperBoundForEveryFloat) {
+  // std::upper_bound over the cuts is the oracle. The probes cover every
+  // edge class of float (signed zeros, infinities, NaNs of both signs, the
+  // missing sentinel, denormals, each cut and its neighbours) and random
+  // bit patterns, under every cut count the search steps differ for.
+  Schema s;
+  s.AddContinuous("x");
+  s.SetClassNames({"A", "B"});
+  Random rng(2026);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (int count : {0, 1, 2, 3, 63, 255}) {
+    for (int round = 0; round < 4; ++round) {
+      std::vector<float> cuts = RandomCuts(&rng, count);
+      if (round == 1 && count > 0) cuts[0] = kMissingValue;
+      if (round == 2) {  // small cuts around zero and the denormals
+        cuts.clear();
+        for (int i = 0; i < count; ++i) {
+          cuts.push_back(static_cast<float>(i - count / 2) * denorm);
+        }
+      }
+      const Quantizer q = Quantizer::FromCuts(s, {cuts});
+      std::vector<float> probes = {0.0f,   -0.0f,  inf,     -inf,
+                                   nan,    -nan,   denorm,  -denorm,
+                                   kMissingValue,
+                                   std::numeric_limits<float>::max(),
+                                   std::numeric_limits<float>::min(),
+                                   std::bit_cast<float>(0x7fa00001u),
+                                   std::bit_cast<float>(0xffc00123u)};
+      for (float c : cuts) {
+        probes.push_back(c);
+        probes.push_back(std::nextafter(c, -inf));
+        probes.push_back(std::nextafter(c, inf));
+      }
+      for (int i = 0; i < 2000; ++i) {
+        probes.push_back(
+            std::bit_cast<float>(static_cast<uint32_t>(rng.Next())));
+      }
+      for (float p : probes) {
+        AttrValue v;
+        v.f = p;
+        const auto expected =
+            std::upper_bound(cuts.begin(), cuts.end(), p) - cuts.begin();
+        ASSERT_EQ(q.BinOf(0, v), expected)
+            << count << " cuts, probe bits 0x" << std::hex
+            << std::bit_cast<uint32_t>(p);
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------------ split sweep
+
+/// The continuous sweep as it was before it skipped empty bin rows: every
+/// boundary is scored. The oracle EvaluateBinnedAttr must match.
+SplitCandidate ReferenceBinnedSweep(const Quantizer& quantizer,
+                                    const LeafHistogram& bins,
+                                    const ClassHistogram& hist,
+                                    int64_t n_total, int attr,
+                                    SplitCriterion criterion, int* out_bin) {
+  const int off = quantizer.offset(attr);
+  const int nbins = quantizer.num_bins(attr);
+  const int num_classes = hist.num_classes();
+  ClassHistogram below(num_classes);
+  ClassHistogram above = hist;
+  int64_t nl = 0;
+  SplitCandidate best;
+  *out_bin = -1;
+  for (int b = 0; b + 1 < nbins; ++b) {
+    for (int c = 0; c < num_classes; ++c) {
+      const int64_t n = bins.count(off + b, c);
+      below.Add(static_cast<ClassLabel>(c), n);
+      above.Remove(static_cast<ClassLabel>(c), n);
+      nl += n;
+    }
+    if (nl == 0) continue;
+    if (nl == n_total) break;
+    SplitCandidate candidate;
+    candidate.test.attr = attr;
+    candidate.test.threshold = quantizer.cut(attr, b);
+    candidate.gini =
+        SplitImpurityWithTotals(below, above, nl, n_total - nl, criterion);
+    candidate.left_count = nl;
+    candidate.right_count = n_total - nl;
+    if (candidate.BetterThan(best)) {
+      best = candidate;
+      *out_bin = b;
+    }
+  }
+  return best;
+}
+
+TEST(SplitSweepTest, EmptyRowSkipKeepsTheReferenceWinner) {
+  // Sparse rows of small counts: most boundaries follow an empty row, and
+  // many score the same impurity, so both the skip and the tie rule decide
+  // winners here.
+  Random rng(31);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int num_classes = 2 + static_cast<int>(rng.Uniform(7));
+    const int nbins = 1 + static_cast<int>(rng.Uniform(64));
+    Schema s;
+    s.AddContinuous("x");
+    std::vector<std::string> classes;
+    for (int c = 0; c < num_classes; ++c) classes.push_back(std::to_string(c));
+    s.SetClassNames(classes);
+    std::vector<float> cuts;
+    for (int b = 0; b + 1 < nbins; ++b) cuts.push_back(static_cast<float>(b));
+    const Quantizer q = Quantizer::FromCuts(s, {cuts});
+
+    const double empty_share = rng.NextDouble();
+    LeafHistogram bins;
+    bins.Reset(q.total_bins(), num_classes);
+    ClassHistogram hist(num_classes);
+    for (int b = 0; b < nbins; ++b) {
+      if (rng.NextDouble() < empty_share) continue;
+      for (int c = 0; c < num_classes; ++c) {
+        const int64_t n = static_cast<int64_t>(rng.Uniform(3));
+        bins.Add(b, static_cast<ClassLabel>(c), n);
+        hist.Add(static_cast<ClassLabel>(c), n);
+      }
+    }
+    GiniOptions gini;
+    gini.criterion =
+        trial % 2 == 0 ? SplitCriterion::kGini : SplitCriterion::kEntropy;
+    int want_bin = -1;
+    const SplitCandidate want = ReferenceBinnedSweep(
+        q, bins, hist, hist.Total(), 0, gini.criterion, &want_bin);
+    GiniScratch scratch;
+    SplitCandidate got;
+    int got_bin = -7;
+    const uint64_t examined = EvaluateBinnedAttr(
+        q, bins, hist, hist.Total(), 0, gini, &scratch, &got, &got_bin);
+    EXPECT_EQ(examined, static_cast<uint64_t>(nbins - 1));
+    ASSERT_EQ(got.valid(), want.valid()) << "trial " << trial;
+    EXPECT_EQ(got_bin, want_bin) << "trial " << trial;
+    if (!want.valid()) continue;
+    EXPECT_EQ(got.test.attr, want.test.attr);
+    EXPECT_EQ(got.test.threshold, want.test.threshold) << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.gini),
+              std::bit_cast<uint64_t>(want.gini))
+        << "trial " << trial;
+    EXPECT_EQ(got.left_count, want.left_count);
+    EXPECT_EQ(got.right_count, want.right_count);
+  }
 }
 
 // ------------------------------------------------------------ binned engine

@@ -518,6 +518,10 @@ def convert_stream(raw, output):
                 "stream_tuples_per_second":
                     round(run["stream_tuples_per_second"], 1),
                 "stream_ns_per_tuple": round(run["stream_ns_per_tuple"], 1),
+                "stream_cpu_ns_per_tuple":
+                    round(run["stream_cpu_ns_per_tuple"], 1),
+                "ingest_cpu_ns_per_tuple":
+                    round(run["ingest_cpu_ns_per_tuple"], 1),
                 "stream_test_accuracy":
                     round(run["stream_test_accuracy"], 6),
                 "batch_test_accuracy": round(run["batch_test_accuracy"], 6),
@@ -613,7 +617,8 @@ VALIDATE_SCHEMAS = {
     "stream_throughput": (
         ["schema_version", "suite", "context", "runs", "derived"],
         [("runs", ["function", "tuples", "stream_tuples_per_second",
-                   "stream_ns_per_tuple", "stream_test_accuracy",
+                   "stream_ns_per_tuple", "stream_cpu_ns_per_tuple",
+                   "ingest_cpu_ns_per_tuple", "stream_test_accuracy",
                    "batch_test_accuracy", "accuracy_delta", "within_2pct",
                    "stream_nodes", "batch_nodes", "splits",
                    "stream_state_bytes", "accuracy_curve"])],
